@@ -3,8 +3,7 @@ package parcluster
 // bench_test.go: one testing.B benchmark per paper table/figure plus the
 // DESIGN.md ablations, on small fixture graphs so the full suite runs in
 // minutes. The cmd/lgc-bench harness runs the same experiments at the
-// paper's row/column granularity on the larger stand-ins; EXPERIMENTS.md
-// records the measured shapes against the paper's.
+// paper's row/column granularity on the larger stand-ins.
 //
 // Index (see DESIGN.md §2):
 //
@@ -48,7 +47,7 @@ func fixtures() {
 		fixSocial = gen.CommunityGraph(0, 300_000, 14, 6, 20, 2000, 2.5, 0xBEEF)
 		fixSeed, _ = fixSocial.LargestComponent()
 		fixGrid = gen.Grid3D(0, 25)
-		fixNibbleV, _ = core.NibblePar(fixSocial, fixSeed, 3e-8, 20, 0)
+		fixNibbleV, _ = core.NibbleRun(fixSocial, []uint32{fixSeed}, 3e-8, 20, core.RunConfig{})
 	})
 }
 
@@ -65,28 +64,28 @@ const (
 func BenchmarkTable3NibbleSeq(b *testing.B) {
 	fixtures()
 	for i := 0; i < b.N; i++ {
-		core.NibbleSeq(fixSocial, fixSeed, 3e-8, 20)
+		core.NibbleSeq(fixSocial, []uint32{fixSeed}, 3e-8, 20)
 	}
 }
 
 func BenchmarkTable3NibblePar(b *testing.B) {
 	fixtures()
 	for i := 0; i < b.N; i++ {
-		core.NibblePar(fixSocial, fixSeed, 3e-8, 20, 0)
+		core.NibbleRun(fixSocial, []uint32{fixSeed}, 3e-8, 20, core.RunConfig{})
 	}
 }
 
 func BenchmarkTable3PRNibbleSeq(b *testing.B) {
 	fixtures()
 	for i := 0; i < b.N; i++ {
-		core.PRNibbleSeq(fixSocial, fixSeed, benchAlpha, benchEps, core.OptimizedRule)
+		core.PRNibbleSeq(fixSocial, []uint32{fixSeed}, benchAlpha, benchEps, core.OptimizedRule, false)
 	}
 }
 
 func BenchmarkTable3PRNibblePar(b *testing.B) {
 	fixtures()
 	for i := 0; i < b.N; i++ {
-		core.PRNibblePar(fixSocial, fixSeed, benchAlpha, benchEps, core.OptimizedRule, 0, 1)
+		core.PRNibbleRun(fixSocial, []uint32{fixSeed}, benchAlpha, benchEps, core.OptimizedRule, 1, core.RunConfig{})
 	}
 }
 
@@ -98,28 +97,28 @@ const benchHKEps = 1e-6
 func BenchmarkTable3HKPRSeq(b *testing.B) {
 	fixtures()
 	for i := 0; i < b.N; i++ {
-		core.HKPRSeq(fixSocial, fixSeed, benchHKt, benchHKN, benchHKEps)
+		core.HKPRSeq(fixSocial, []uint32{fixSeed}, benchHKt, benchHKN, benchHKEps)
 	}
 }
 
 func BenchmarkTable3HKPRPar(b *testing.B) {
 	fixtures()
 	for i := 0; i < b.N; i++ {
-		core.HKPRPar(fixSocial, fixSeed, benchHKt, benchHKN, benchHKEps, 0)
+		core.HKPRRun(fixSocial, []uint32{fixSeed}, benchHKt, benchHKN, benchHKEps, core.RunConfig{})
 	}
 }
 
 func BenchmarkTable3RandHKPRSeq(b *testing.B) {
 	fixtures()
 	for i := 0; i < b.N; i++ {
-		core.RandHKPRSeq(fixSocial, fixSeed, benchHKt, 10, benchWalks, 1)
+		core.RandHKPRSeq(fixSocial, []uint32{fixSeed}, benchHKt, 10, benchWalks, 1)
 	}
 }
 
 func BenchmarkTable3RandHKPRPar(b *testing.B) {
 	fixtures()
 	for i := 0; i < b.N; i++ {
-		core.RandHKPRPar(fixSocial, fixSeed, benchHKt, 10, benchWalks, 1, 0)
+		core.RandHKPRRun(fixSocial, []uint32{fixSeed}, benchHKt, 10, benchWalks, 1, core.RunConfig{})
 	}
 }
 
@@ -129,8 +128,8 @@ func BenchmarkTable1PRNibblePushes(b *testing.B) {
 	fixtures()
 	var seqPushes, parPushes, parIters int64
 	for i := 0; i < b.N; i++ {
-		_, sSt := core.PRNibbleSeq(fixSocial, fixSeed, benchAlpha, benchEps, core.OptimizedRule)
-		_, pSt := core.PRNibblePar(fixSocial, fixSeed, benchAlpha, benchEps, core.OptimizedRule, 0, 1)
+		_, sSt := core.PRNibbleSeq(fixSocial, []uint32{fixSeed}, benchAlpha, benchEps, core.OptimizedRule, false)
+		_, pSt := core.PRNibbleRun(fixSocial, []uint32{fixSeed}, benchAlpha, benchEps, core.OptimizedRule, 1, core.RunConfig{})
 		seqPushes, parPushes, parIters = sSt.Pushes, pSt.Pushes, int64(pSt.Iterations)
 	}
 	b.ReportMetric(float64(seqPushes), "seq-pushes")
@@ -143,14 +142,14 @@ func BenchmarkTable1PRNibblePushes(b *testing.B) {
 func BenchmarkFig4PRNibbleSeqOriginal(b *testing.B) {
 	fixtures()
 	for i := 0; i < b.N; i++ {
-		core.PRNibbleSeq(fixSocial, fixSeed, benchAlpha, benchEps, core.OriginalRule)
+		core.PRNibbleSeq(fixSocial, []uint32{fixSeed}, benchAlpha, benchEps, core.OriginalRule, false)
 	}
 }
 
 func BenchmarkFig4PRNibbleSeqOptimized(b *testing.B) {
 	fixtures()
 	for i := 0; i < b.N; i++ {
-		core.PRNibbleSeq(fixSocial, fixSeed, benchAlpha, benchEps, core.OptimizedRule)
+		core.PRNibbleSeq(fixSocial, []uint32{fixSeed}, benchAlpha, benchEps, core.OptimizedRule, false)
 	}
 }
 
@@ -161,14 +160,14 @@ func BenchmarkFig8ParamSweep(b *testing.B) {
 	for _, eps := range []float64{1e-4, 1e-5, 1e-6} {
 		b.Run(fmt.Sprintf("prnibble-eps=%.0e", eps), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.PRNibblePar(fixSocial, fixSeed, benchAlpha, eps, core.OptimizedRule, 0, 1)
+				core.PRNibbleRun(fixSocial, []uint32{fixSeed}, benchAlpha, eps, core.OptimizedRule, 1, core.RunConfig{})
 			}
 		})
 	}
 	for _, T := range []int{5, 20, 40} {
 		b.Run(fmt.Sprintf("nibble-T=%d", T), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.NibblePar(fixSocial, fixSeed, 3e-8, T, 0)
+				core.NibbleRun(fixSocial, []uint32{fixSeed}, 3e-8, T, core.RunConfig{})
 			}
 		})
 	}
@@ -193,12 +192,12 @@ func BenchmarkFig9Speedup(b *testing.B) {
 	for _, p := range fig9Procs() {
 		b.Run(fmt.Sprintf("prnibble/p=%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.PRNibblePar(fixSocial, fixSeed, benchAlpha, benchEps, core.OptimizedRule, p, 1)
+				core.PRNibbleRun(fixSocial, []uint32{fixSeed}, benchAlpha, benchEps, core.OptimizedRule, 1, core.RunConfig{Procs: p})
 			}
 		})
 		b.Run(fmt.Sprintf("randhk/p=%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.RandHKPRPar(fixSocial, fixSeed, benchHKt, 10, benchWalks, 1, p)
+				core.RandHKPRRun(fixSocial, []uint32{fixSeed}, benchHKt, 10, benchWalks, 1, core.RunConfig{Procs: p})
 			}
 		})
 	}
@@ -209,27 +208,27 @@ func BenchmarkFig9Speedup(b *testing.B) {
 func BenchmarkFig10SweepSeq(b *testing.B) {
 	fixtures()
 	for i := 0; i < b.N; i++ {
-		core.SweepCutSeq(fixSocial, fixNibbleV)
+		core.SweepCutSeqInto(fixSocial, fixNibbleV, nil)
 	}
 }
 
 func BenchmarkFig10SweepPar(b *testing.B) {
 	fixtures()
 	for i := 0; i < b.N; i++ {
-		core.SweepCutPar(fixSocial, fixNibbleV, 0)
+		core.SweepCutParInto(fixSocial, fixNibbleV, 0, nil)
 	}
 }
 
 func BenchmarkFig11SweepVolume(b *testing.B) {
 	fixtures()
 	for _, eps := range []float64{1e-6, 1e-7, 3e-8} {
-		vec, _ := core.NibblePar(fixSocial, fixSeed, eps, 20, 0)
+		vec, _ := core.NibbleRun(fixSocial, []uint32{fixSeed}, eps, 20, core.RunConfig{})
 		if vec.Len() == 0 {
 			continue
 		}
 		b.Run(fmt.Sprintf("support=%d", vec.Len()), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.SweepCutPar(fixSocial, vec, 0)
+				core.SweepCutParInto(fixSocial, vec, 0, nil)
 			}
 		})
 	}
@@ -255,28 +254,28 @@ func BenchmarkFig12NCP(b *testing.B) {
 func BenchmarkA1RandHKPRSorted(b *testing.B) {
 	fixtures()
 	for i := 0; i < b.N; i++ {
-		core.RandHKPRPar(fixSocial, fixSeed, benchHKt, 10, benchWalks, 1, 0)
+		core.RandHKPRRun(fixSocial, []uint32{fixSeed}, benchHKt, 10, benchWalks, 1, core.RunConfig{})
 	}
 }
 
 func BenchmarkA1RandHKPRContended(b *testing.B) {
 	fixtures()
 	for i := 0; i < b.N; i++ {
-		core.RandHKPRParContended(fixSocial, fixSeed, benchHKt, 10, benchWalks, 1, 0)
+		core.RandHKPRParContended(fixSocial, []uint32{fixSeed}, benchHKt, 10, benchWalks, 1, 0)
 	}
 }
 
 func BenchmarkA2SweepBucket(b *testing.B) {
 	fixtures()
 	for i := 0; i < b.N; i++ {
-		core.SweepCutPar(fixSocial, fixNibbleV, 0)
+		core.SweepCutParInto(fixSocial, fixNibbleV, 0, nil)
 	}
 }
 
 func BenchmarkA2SweepThmOneSort(b *testing.B) {
 	fixtures()
 	for i := 0; i < b.N; i++ {
-		core.SweepCutParSort(fixSocial, fixNibbleV, 0)
+		core.SweepCutParSortInto(fixSocial, fixNibbleV, 0, nil)
 	}
 }
 
@@ -285,7 +284,7 @@ func BenchmarkA3BetaFraction(b *testing.B) {
 	for _, beta := range []float64{0.25, 0.5, 1.0} {
 		b.Run(fmt.Sprintf("beta=%.2f", beta), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.PRNibblePar(fixSocial, fixSeed, benchAlpha, benchEps, core.OptimizedRule, 0, beta)
+				core.PRNibbleRun(fixSocial, []uint32{fixSeed}, benchAlpha, benchEps, core.OptimizedRule, beta, core.RunConfig{})
 			}
 		})
 	}
@@ -297,7 +296,7 @@ func BenchmarkMeshNoClusters(b *testing.B) {
 	fixtures()
 	seed, _ := fixGrid.LargestComponent()
 	for i := 0; i < b.N; i++ {
-		core.PRNibblePar(fixGrid, seed, benchAlpha, benchEps, core.OptimizedRule, 0, 1)
+		core.PRNibbleRun(fixGrid, []uint32{seed}, benchAlpha, benchEps, core.OptimizedRule, 1, core.RunConfig{})
 	}
 }
 
@@ -329,7 +328,7 @@ func BenchmarkFrontierMode(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.PRNibbleParFrom(fixSocial, seeds, benchAlpha, lowEps, core.OptimizedRule, 0, 1, tc.mode)
+				core.PRNibbleRun(fixSocial, seeds, benchAlpha, lowEps, core.OptimizedRule, 1, core.RunConfig{Frontier: tc.mode})
 			}
 		})
 	}
@@ -480,7 +479,7 @@ func BenchmarkBatchedDiffusion(b *testing.B) {
 // --- Result path: snapshot + sweep + response encoding -------------------
 
 // BenchmarkResultPath measures the steady-state allocation profile of the
-// *result* path of one dense serving query — the vecFromTable snapshot, the
+// *result* path of one dense serving query — the vecFromTableInto snapshot, the
 // sweep cut, and the JSON response encoding — with the diffusion scratch
 // pooled in both variants (the PR 3 state of the world):
 //
@@ -523,7 +522,7 @@ func BenchmarkResultPath(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			vec, st := core.PRNibbleRun(fixSocial, seeds, benchAlpha, lowEps, core.OptimizedRule, 1, cfg)
-			sw := core.SweepCutPar(fixSocial, vec, cfg.Procs)
+			sw := core.SweepCutParInto(fixSocial, vec, cfg.Procs, nil)
 			if err := json.NewEncoder(io.Discard).Encode(response(vec, sw, st)); err != nil {
 				b.Fatal(err)
 			}

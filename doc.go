@@ -24,9 +24,13 @@
 //	cluster, err := parcluster.FindCluster(g, 0, parcluster.ClusterOptions{})
 //	fmt.Println(cluster.Members, cluster.Conductance)
 //
-// Every algorithm accepts a worker count (0 = all cores) and has a
-// Sequential switch selecting the paper's reference sequential
-// implementation. All parallel algorithms return clusters with the same
+// The four diffusions (Nibble, PRNibble, HKPR, RandHKPR) take a seed set —
+// []uint32{seed} for the usual single seed; per the paper's footnote 5 a
+// larger set splits the initial mass evenly and enlarges the frontiers —
+// and return a vector that SweepCut rounds into a cluster; FindCluster
+// runs both steps from one seed. Every algorithm accepts a worker count
+// (0 = all cores) and has a Sequential switch selecting the paper's
+// reference sequential implementation. All parallel algorithms return clusters with the same
 // quality guarantees as their sequential counterparts. The Example
 // functions in this package are executed by go test, so they always
 // compile and print exactly what the current code produces.

@@ -40,7 +40,7 @@ func Example_frontierMode() {
 	seeds := []uint32{0, 1, 2}
 
 	run := func(mode parcluster.FrontierMode) (*parcluster.Vector, parcluster.Stats) {
-		return parcluster.PRNibbleFrom(g, seeds, parcluster.PRNibbleOptions{
+		return parcluster.PRNibble(g, seeds, parcluster.PRNibbleOptions{
 			Epsilon:  1e-6,
 			Frontier: mode,
 			Procs:    2,

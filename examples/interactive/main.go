@@ -152,7 +152,7 @@ func (s *session) sweepSizes(args []string) error {
 	if err != nil {
 		return err
 	}
-	vec, _ := parcluster.PRNibble(s.g, seed, parcluster.PRNibbleOptions{})
+	vec, _ := parcluster.PRNibble(s.g, []uint32{seed}, parcluster.PRNibbleOptions{})
 	res := parcluster.SweepCut(s.g, vec, parcluster.SweepOptions{})
 	step := len(res.PrefixConductance)/20 + 1
 	for i := 0; i < len(res.PrefixConductance); i += step {

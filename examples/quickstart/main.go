@@ -50,7 +50,7 @@ func main() {
 	// a sweep cut rounding it. Intermediate access enables the analyst loop
 	// the paper motivates: inspect the vector, re-sweep with other options,
 	// compare prefix conductances.
-	vec, stats := parcluster.PRNibble(barbell, 7, parcluster.PRNibbleOptions{Alpha: 0.05})
+	vec, stats := parcluster.PRNibble(barbell, []uint32{7}, parcluster.PRNibbleOptions{Alpha: 0.05})
 	res := parcluster.SweepCut(barbell, vec, parcluster.SweepOptions{})
 	fmt.Printf("\nManual pipeline: vector support %d, %d sweep prefixes, best φ=%.6f (%v)\n",
 		vec.Len(), len(res.PrefixConductance), res.Conductance, stats)

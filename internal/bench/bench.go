@@ -1,8 +1,7 @@
 // Package bench is the experiment harness that regenerates every table and
 // figure of the paper's evaluation (§4) on the synthetic stand-in graphs.
 // Each experiment prints the same rows/series the paper reports; see
-// DESIGN.md §2 for the experiment index and EXPERIMENTS.md for recorded
-// paper-vs-measured comparisons.
+// DESIGN.md §2 for the experiment index.
 //
 // Because the stand-ins are 10-100x smaller than the paper's inputs (which
 // do not fit this environment), the locality thresholds are scaled so each
@@ -21,7 +20,6 @@ import (
 
 	"parcluster/internal/gen"
 	"parcluster/internal/graph"
-	"parcluster/internal/parallel"
 )
 
 // Config configures a harness run.
@@ -166,48 +164,53 @@ func (w *Workspace) header(id, title string) {
 // seconds formats a duration the way the paper's tables do.
 func seconds(d time.Duration) string { return fmt.Sprintf("%.3f", d.Seconds()) }
 
-// Experiments maps experiment IDs to their runners; Run dispatches on it.
-func (w *Workspace) experiments() map[string]func() error {
-	return map[string]func() error{
-		"table1": w.Table1,
-		"table2": w.Table2,
-		"table3": w.Table3,
-		"fig4":   w.Fig4,
-		"fig8":   w.Fig8,
-		"fig9":   w.Fig9,
-		"fig10":  w.Fig10,
-		"fig11":  w.Fig11,
-		"fig12":  w.Fig12,
-		"A1":     w.AblationRandHKAggregation,
-		"A2":     w.AblationSweepStrategy,
-		"A3":     w.AblationBetaFraction,
-		"A4":     w.AblationFrontierMode,
-	}
+// experiments lists every experiment ID with its runner, in run order.
+var experiments = []struct {
+	id  string
+	run func(*Workspace) error
+}{
+	{"table1", (*Workspace).Table1},
+	{"table2", (*Workspace).Table2},
+	{"table3", (*Workspace).Table3},
+	{"fig4", (*Workspace).Fig4},
+	{"fig8", (*Workspace).Fig8},
+	{"fig9", (*Workspace).Fig9},
+	{"fig10", (*Workspace).Fig10},
+	{"fig11", (*Workspace).Fig11},
+	{"fig12", (*Workspace).Fig12},
+	{"A1", (*Workspace).AblationRandHKAggregation},
+	{"A2", (*Workspace).AblationSweepStrategy},
+	{"A3", (*Workspace).AblationBetaFraction},
+	{"A4", (*Workspace).AblationFrontierMode},
 }
 
 // ExperimentIDs lists the available experiment IDs in run order.
 func ExperimentIDs() []string {
-	ids := []string{"table1", "table2", "table3", "fig4", "fig8", "fig9", "fig10", "fig11", "fig12", "A1", "A2", "A3", "A4"}
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
 	return ids
 }
 
 // Run executes one experiment by ID, or all of them for id == "all".
 func (w *Workspace) Run(id string) error {
 	if id == "all" {
-		for _, eid := range ExperimentIDs() {
-			if err := w.Run(eid); err != nil {
-				return fmt.Errorf("%s: %w", eid, err)
+		for _, e := range experiments {
+			if err := e.run(w); err != nil {
+				return fmt.Errorf("%s: %w", e.id, err)
 			}
 		}
 		return nil
 	}
-	fn, ok := w.experiments()[id]
-	if !ok {
-		known := ExperimentIDs()
-		sort.Strings(known)
-		return fmt.Errorf("bench: unknown experiment %q (known: %v, all)", id, known)
+	for _, e := range experiments {
+		if e.id == id {
+			return e.run(w)
+		}
 	}
-	return fn()
+	known := ExperimentIDs()
+	sort.Strings(known)
+	return fmt.Errorf("bench: unknown experiment %q (known: %v, all)", id, known)
 }
 
 // procGrid returns the core counts for speedup experiments: powers of two
@@ -220,6 +223,3 @@ func (w *Workspace) procGrid() []int {
 	grid = append(grid, w.cfg.Procs)
 	return grid
 }
-
-// ensure parallel is linked for ResolveProcs use in experiments.
-var _ = parallel.ResolveProcs

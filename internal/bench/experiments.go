@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"time"
@@ -52,9 +53,10 @@ func (w *Workspace) Table1() error {
 			return err
 		}
 		seed, _ := w.Seed(name)
-		_, seqSt := core.PRNibbleSeq(g, seed, pr.PRAlpha, pr.PREps, core.OptimizedRule)
-		_, parSt := core.PRNibblePar(g, seed, pr.PRAlpha, pr.PREps, core.OptimizedRule, w.cfg.Procs, 1)
-		ratio := float64(parSt.Pushes) / float64(max64(seqSt.Pushes, 1))
+		seeds := []uint32{seed}
+		_, seqSt := core.PRNibbleSeq(g, seeds, pr.PRAlpha, pr.PREps, core.OptimizedRule, false)
+		_, parSt := core.PRNibbleRun(g, seeds, pr.PRAlpha, pr.PREps, core.OptimizedRule, 1, core.RunConfig{Procs: w.cfg.Procs})
+		ratio := float64(parSt.Pushes) / float64(max(seqSt.Pushes, 1))
 		w.printf("%-16s %14d %14d %12d %8.2f\n",
 			name, seqSt.Pushes, parSt.Pushes, parSt.Iterations, ratio)
 	}
@@ -69,43 +71,33 @@ func (w *Workspace) runAlgo(algo, graphName string, procs int, seq bool) (*spars
 		return nil, core.Stats{}, err
 	}
 	seed, _ := w.Seed(graphName)
+	seeds := []uint32{seed}
 	pr := w.params
-	switch algo {
-	case "nibble":
-		if seq {
-			v, st := core.NibbleSeq(g, seed, pr.NibbleEps, pr.NibbleT)
-			return v, st, nil
-		}
-		v, st := core.NibblePar(g, seed, pr.NibbleEps, pr.NibbleT, procs)
-		return v, st, nil
-	case "prnibble":
-		if seq {
-			v, st := core.PRNibbleSeq(g, seed, pr.PRAlpha, pr.PREps, core.OptimizedRule)
-			return v, st, nil
-		}
-		v, st := core.PRNibblePar(g, seed, pr.PRAlpha, pr.PREps, core.OptimizedRule, procs, 1)
-		return v, st, nil
-	case "hkpr":
-		if seq {
-			v, st := core.HKPRSeq(g, seed, pr.HKt, pr.HKN, pr.HKEps)
-			return v, st, nil
-		}
-		v, st := core.HKPRPar(g, seed, pr.HKt, pr.HKN, pr.HKEps, procs)
-		return v, st, nil
-	case "randhk":
-		if seq {
-			v, st := core.RandHKPRSeq(g, seed, pr.RandT, pr.RandK, pr.RandWalks, 1)
-			return v, st, nil
-		}
-		v, st := core.RandHKPRPar(g, seed, pr.RandT, pr.RandK, pr.RandWalks, 1, procs)
-		return v, st, nil
+	var v *sparse.Map
+	var st core.Stats
+	cfg := core.RunConfig{Procs: procs}
+	switch {
+	case algo == "nibble" && seq:
+		v, st = core.NibbleSeq(g, seeds, pr.NibbleEps, pr.NibbleT)
+	case algo == "nibble":
+		v, st = core.NibbleRun(g, seeds, pr.NibbleEps, pr.NibbleT, cfg)
+	case algo == "prnibble" && seq:
+		v, st = core.PRNibbleSeq(g, seeds, pr.PRAlpha, pr.PREps, core.OptimizedRule, false)
+	case algo == "prnibble":
+		v, st = core.PRNibbleRun(g, seeds, pr.PRAlpha, pr.PREps, core.OptimizedRule, 1, cfg)
+	case algo == "hkpr" && seq:
+		v, st = core.HKPRSeq(g, seeds, pr.HKt, pr.HKN, pr.HKEps)
+	case algo == "hkpr":
+		v, st = core.HKPRRun(g, seeds, pr.HKt, pr.HKN, pr.HKEps, cfg)
+	case algo == "randhk" && seq:
+		v, st = core.RandHKPRSeq(g, seeds, pr.RandT, pr.RandK, pr.RandWalks, 1)
+	case algo == "randhk":
+		v, st = core.RandHKPRRun(g, seeds, pr.RandT, pr.RandK, pr.RandWalks, 1, cfg)
+	default:
+		return nil, core.Stats{}, fmt.Errorf("bench: unknown algorithm %s", algo)
 	}
-	return nil, core.Stats{}, errUnknownAlgo(algo)
+	return v, st, nil
 }
-
-type errUnknownAlgo string
-
-func (e errUnknownAlgo) Error() string { return "bench: unknown algorithm " + string(e) }
 
 // Table3 prints T1 and Tp running times (paper Table 3) for the parallel
 // implementations of the four algorithms, their sequential counterparts,
@@ -134,9 +126,9 @@ func (w *Workspace) Table3() error {
 		if err != nil {
 			return err
 		}
-		tSeq := w.timeIt(func() { core.SweepCutSeq(g, vec) })
-		t1 := w.timeIt(func() { core.SweepCutPar(g, vec, 1) })
-		tp := w.timeIt(func() { core.SweepCutPar(g, vec, w.cfg.Procs) })
+		tSeq := w.timeIt(func() { core.SweepCutSeqInto(g, vec, nil) })
+		t1 := w.timeIt(func() { core.SweepCutParInto(g, vec, 1, nil) })
+		tp := w.timeIt(func() { core.SweepCutParInto(g, vec, w.cfg.Procs, nil) })
 		w.printf("%-16s %-10s %10s %10s %10s %8.1fx  (support %d)\n",
 			name, "sweep", seconds(tSeq), seconds(t1), seconds(tp), t1.Seconds()/tp.Seconds(), vec.Len())
 	}
@@ -156,8 +148,9 @@ func (w *Workspace) Fig4() error {
 			return err
 		}
 		seed, _ := w.Seed(name)
-		tOrig := w.timeIt(func() { core.PRNibbleSeq(g, seed, pr.PRAlpha, pr.PREps, core.OriginalRule) })
-		tOpt := w.timeIt(func() { core.PRNibbleSeq(g, seed, pr.PRAlpha, pr.PREps, core.OptimizedRule) })
+		seeds := []uint32{seed}
+		tOrig := w.timeIt(func() { core.PRNibbleSeq(g, seeds, pr.PRAlpha, pr.PREps, core.OriginalRule, false) })
+		tOpt := w.timeIt(func() { core.PRNibbleSeq(g, seeds, pr.PRAlpha, pr.PREps, core.OptimizedRule, false) })
 		w.printf("%-16s %12s %12s %12.3f %9.2fx\n",
 			name, seconds(tOrig), seconds(tOpt),
 			tOpt.Seconds()/tOrig.Seconds(), tOrig.Seconds()/tOpt.Seconds())
@@ -174,10 +167,11 @@ func (w *Workspace) Fig8() error {
 		return err
 	}
 	seed, _ := w.Seed(largestGraph)
+	seeds := []uint32{seed}
 	w.header("fig8", "parameter sensitivity on "+largestGraph)
 
 	sweepPhi := func(vec *sparse.Map) float64 {
-		return core.SweepCutPar(g, vec, w.cfg.Procs).Conductance
+		return core.SweepCutParInto(g, vec, w.cfg.Procs, nil).Conductance
 	}
 
 	w.printf("\n(a,b) Nibble: rows T, columns eps (time s | conductance)\n")
@@ -191,7 +185,7 @@ func (w *Workspace) Fig8() error {
 		w.printf("%6d", T)
 		for _, eps := range epsGrid {
 			var vec *sparse.Map
-			d := w.timeIt(func() { vec, _ = core.NibblePar(g, seed, eps, T, w.cfg.Procs) })
+			d := w.timeIt(func() { vec, _ = core.NibbleRun(g, seeds, eps, T, core.RunConfig{Procs: w.cfg.Procs}) })
 			w.printf("   %8s | %6.4f", seconds(d), sweepPhi(vec))
 		}
 		w.printf("\n")
@@ -200,7 +194,9 @@ func (w *Workspace) Fig8() error {
 	w.printf("\n(c,d) PR-Nibble (optimized): eps -> time, conductance\n")
 	for _, eps := range []float64{1e-4, 1e-5, 1e-6, 1e-7} {
 		var vec *sparse.Map
-		d := w.timeIt(func() { vec, _ = core.PRNibblePar(g, seed, w.params.PRAlpha, eps, core.OptimizedRule, w.cfg.Procs, 1) })
+		d := w.timeIt(func() {
+			vec, _ = core.PRNibbleRun(g, seeds, w.params.PRAlpha, eps, core.OptimizedRule, 1, core.RunConfig{Procs: w.cfg.Procs})
+		})
 		w.printf("  eps=%7.0e  time=%8s  phi=%6.4f  support=%d\n", eps, seconds(d), sweepPhi(vec), vec.Len())
 	}
 
@@ -215,7 +211,7 @@ func (w *Workspace) Fig8() error {
 		w.printf("%6d", N)
 		for _, eps := range hkEps {
 			var vec *sparse.Map
-			d := w.timeIt(func() { vec, _ = core.HKPRPar(g, seed, w.params.HKt, N, eps, w.cfg.Procs) })
+			d := w.timeIt(func() { vec, _ = core.HKPRRun(g, seeds, w.params.HKt, N, eps, core.RunConfig{Procs: w.cfg.Procs}) })
 			w.printf("   %8s | %6.4f", seconds(d), sweepPhi(vec))
 		}
 		w.printf("\n")
@@ -232,7 +228,9 @@ func (w *Workspace) Fig8() error {
 		w.printf("%6d", K)
 		for _, walks := range walkGrid {
 			var vec *sparse.Map
-			d := w.timeIt(func() { vec, _ = core.RandHKPRPar(g, seed, w.params.RandT, K, walks, 1, w.cfg.Procs) })
+			d := w.timeIt(func() {
+				vec, _ = core.RandHKPRRun(g, seeds, w.params.RandT, K, walks, 1, core.RunConfig{Procs: w.cfg.Procs})
+			})
 			w.printf("   %8s | %6.4f", seconds(d), sweepPhi(vec))
 		}
 		w.printf("\n")
@@ -284,16 +282,17 @@ func (w *Workspace) Fig10() error {
 		return err
 	}
 	seed, _ := w.Seed(largestGraph)
+	seeds := []uint32{seed}
 	// A gentler epsilon grows the support, the regime Figure 10 studies.
-	vec, _ := core.NibblePar(g, seed, w.params.NibbleEps/10, w.params.NibbleT, w.cfg.Procs)
-	res := core.SweepCutPar(g, vec, w.cfg.Procs)
+	vec, _ := core.NibbleRun(g, seeds, w.params.NibbleEps/10, w.params.NibbleT, core.RunConfig{Procs: w.cfg.Procs})
+	res := core.SweepCutParInto(g, vec, w.cfg.Procs, nil)
 	w.header("fig10", "sweep cut time vs cores on "+largestGraph)
 	w.printf("input: support=%d volume=%d\n", vec.Len(), g.Volume(res.Order))
-	tSeq := w.timeIt(func() { core.SweepCutSeq(g, vec) })
+	tSeq := w.timeIt(func() { core.SweepCutSeqInto(g, vec, nil) })
 	w.printf("sequential sweep: %s s\n", seconds(tSeq))
 	w.printf("%8s %12s %9s\n", "cores", "par (s)", "vs seq")
 	for _, p := range w.procGrid() {
-		d := w.timeIt(func() { core.SweepCutPar(g, vec, p) })
+		d := w.timeIt(func() { core.SweepCutParInto(g, vec, p, nil) })
 		w.printf("%8d %12s %8.2fx\n", p, seconds(d), tSeq.Seconds()/d.Seconds())
 	}
 	w.printf("expected shape: parallel slower on 1 core, overtakes sequential within a few cores\n")
@@ -308,17 +307,18 @@ func (w *Workspace) Fig11() error {
 		return err
 	}
 	seed, _ := w.Seed(largestGraph)
+	seeds := []uint32{seed}
 	w.header("fig11", "parallel sweep time vs input volume on "+largestGraph)
 	w.printf("%12s %14s %12s\n", "support", "volume", "time (s)")
 	base := w.params.NibbleEps
 	for _, eps := range []float64{base * 100, base * 10, base, base / 10, base / 100} {
-		vec, _ := core.NibblePar(g, seed, eps, w.params.NibbleT, w.cfg.Procs)
+		vec, _ := core.NibbleRun(g, seeds, eps, w.params.NibbleT, core.RunConfig{Procs: w.cfg.Procs})
 		if vec.Len() == 0 {
 			continue
 		}
-		res := core.SweepCutPar(g, vec, w.cfg.Procs)
+		res := core.SweepCutParInto(g, vec, w.cfg.Procs, nil)
 		vol := g.Volume(res.Order)
-		d := w.timeIt(func() { core.SweepCutPar(g, vec, w.cfg.Procs) })
+		d := w.timeIt(func() { core.SweepCutParInto(g, vec, w.cfg.Procs, nil) })
 		w.printf("%12d %14d %12s\n", vec.Len(), vol, seconds(d))
 	}
 	w.printf("expected shape: time ~linear in volume\n")
@@ -365,12 +365,13 @@ func (w *Workspace) AblationRandHKAggregation() error {
 		return err
 	}
 	seed, _ := w.Seed("soc-LJ")
+	seeds := []uint32{seed}
 	pr := w.params
 	w.header("A1", "rand-HK-PR aggregation: sort-based vs contended fetch-and-add")
 	w.printf("%8s %14s %14s\n", "cores", "sort (s)", "contended (s)")
 	for _, p := range w.procGrid() {
-		tSort := w.timeIt(func() { core.RandHKPRPar(g, seed, pr.RandT, pr.RandK, pr.RandWalks, 1, p) })
-		tCont := w.timeIt(func() { core.RandHKPRParContended(g, seed, pr.RandT, pr.RandK, pr.RandWalks, 1, p) })
+		tSort := w.timeIt(func() { core.RandHKPRRun(g, seeds, pr.RandT, pr.RandK, pr.RandWalks, 1, core.RunConfig{Procs: p}) })
+		tCont := w.timeIt(func() { core.RandHKPRParContended(g, seeds, pr.RandT, pr.RandK, pr.RandWalks, 1, p) })
 		w.printf("%8d %14s %14s\n", p, seconds(tSort), seconds(tCont))
 	}
 	w.printf("expected shape: contended aggregation scales worse with cores\n")
@@ -385,16 +386,17 @@ func (w *Workspace) AblationSweepStrategy() error {
 		return err
 	}
 	seed, _ := w.Seed(largestGraph)
-	vec, _ := core.NibblePar(g, seed, w.params.NibbleEps/10, w.params.NibbleT, w.cfg.Procs)
-	w.header("A2", "parallel sweep strategies (support "+itoa(vec.Len())+")")
+	seeds := []uint32{seed}
+	vec, _ := core.NibbleRun(g, seeds, w.params.NibbleEps/10, w.params.NibbleT, core.RunConfig{Procs: w.cfg.Procs})
+	w.header("A2", "parallel sweep strategies (support "+strconv.Itoa(vec.Len())+")")
 	w.printf("%8s %14s %14s\n", "cores", "bucket (s)", "Thm-1 sort (s)")
 	for _, p := range w.procGrid() {
-		tB := w.timeIt(func() { core.SweepCutPar(g, vec, p) })
-		tS := w.timeIt(func() { core.SweepCutParSort(g, vec, p) })
+		tB := w.timeIt(func() { core.SweepCutParInto(g, vec, p, nil) })
+		tS := w.timeIt(func() { core.SweepCutParSortInto(g, vec, p, nil) })
 		w.printf("%8d %14s %14s\n", p, seconds(tB), seconds(tS))
 	}
-	a := core.SweepCutPar(g, vec, w.cfg.Procs)
-	b := core.SweepCutParSort(g, vec, w.cfg.Procs)
+	a := core.SweepCutParInto(g, vec, w.cfg.Procs, nil)
+	b := core.SweepCutParSortInto(g, vec, w.cfg.Procs, nil)
 	w.printf("results identical: %v (phi %.6f vs %.6f)\n",
 		a.Conductance == b.Conductance && len(a.Cluster) == len(b.Cluster),
 		a.Conductance, b.Conductance)
@@ -409,6 +411,7 @@ func (w *Workspace) AblationBetaFraction() error {
 		return err
 	}
 	seed, _ := w.Seed("soc-LJ")
+	seeds := []uint32{seed}
 	pr := w.params
 	w.header("A3", "PR-Nibble β-fraction variant on soc-LJ")
 	w.printf("%8s %12s %12s %12s %10s\n", "beta", "time (s)", "pushes", "iterations", "phi")
@@ -416,9 +419,9 @@ func (w *Workspace) AblationBetaFraction() error {
 		var vec *sparse.Map
 		var st core.Stats
 		d := w.timeIt(func() {
-			vec, st = core.PRNibblePar(g, seed, pr.PRAlpha, pr.PREps, core.OptimizedRule, w.cfg.Procs, beta)
+			vec, st = core.PRNibbleRun(g, seeds, pr.PRAlpha, pr.PREps, core.OptimizedRule, beta, core.RunConfig{Procs: w.cfg.Procs})
 		})
-		phi := core.SweepCutPar(g, vec, w.cfg.Procs).Conductance
+		phi := core.SweepCutParInto(g, vec, w.cfg.Procs, nil).Conductance
 		w.printf("%8.2f %12s %12d %12d %10.4f\n", beta, seconds(d), st.Pushes, st.Iterations, phi)
 	}
 	w.printf("expected shape: smaller beta -> fewer pushes per round, more rounds; quality similar\n")
@@ -457,9 +460,9 @@ func (w *Workspace) AblationFrontierMode() error {
 		var vec *sparse.Map
 		var st core.Stats
 		d := w.timeIt(func() {
-			vec, st = core.PRNibbleParFrom(g, seeds, pr.PRAlpha, eps, core.OptimizedRule, w.cfg.Procs, 1, mode)
+			vec, st = core.PRNibbleRun(g, seeds, pr.PRAlpha, eps, core.OptimizedRule, 1, core.RunConfig{Procs: w.cfg.Procs, Frontier: mode})
 		})
-		res := core.SweepCutPar(g, vec, w.cfg.Procs)
+		res := core.SweepCutParInto(g, vec, w.cfg.Procs, nil)
 		w.printf("%8s %12s %12d %12d %10.4f\n", mode, seconds(d), st.Pushes, st.Iterations, res.Conductance)
 		if i == 0 {
 			basePhi, baseSize = res.Conductance, len(res.Cluster)
@@ -475,12 +478,3 @@ func (w *Workspace) AblationFrontierMode() error {
 	w.printf("expected shape: dense beats sparse here; auto tracks the winner per iteration\n")
 	return nil
 }
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func itoa(n int) string { return strconv.Itoa(n) }

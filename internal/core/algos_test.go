@@ -33,7 +33,7 @@ func vectorsClose(a, b *sparse.Map, tol float64) (bool, string) {
 func TestNibbleSeqMassMonotone(t *testing.T) {
 	// Truncation only discards mass: ||p_T||_1 <= 1 and positive.
 	g := gen.Caveman(10, 8)
-	vec, st := NibbleSeq(g, 0, 1e-6, 15)
+	vec, st := NibbleSeq(g, []uint32{0}, 1e-6, 15)
 	sum := vec.Sum()
 	if sum <= 0 || sum > 1+1e-12 {
 		t.Fatalf("mass = %v, want in (0, 1]", sum)
@@ -49,11 +49,11 @@ func TestNibbleTheorem2WorkBound(t *testing.T) {
 	g := gen.RandLocal(1, 20000, 5, 5)
 	T := 10
 	eps := 1e-4
-	_, st := NibbleSeq(g, 7, eps, T)
+	_, st := NibbleSeq(g, []uint32{7}, eps, T)
 	if float64(st.EdgesTouched) > float64(T)/eps {
 		t.Fatalf("EdgesTouched = %d exceeds T/eps = %v", st.EdgesTouched, float64(T)/eps)
 	}
-	_, stp := NibblePar(g, 7, eps, T, 4)
+	_, stp := NibbleRun(g, []uint32{7}, eps, T, RunConfig{Procs: 4})
 	if float64(stp.EdgesTouched) > float64(T)/eps {
 		t.Fatalf("parallel EdgesTouched = %d exceeds T/eps", stp.EdgesTouched)
 	}
@@ -66,9 +66,9 @@ func TestNibbleParMatchesSeq(t *testing.T) {
 		"grid3d":  gen.Grid3D(1, 8),
 	}
 	for name, g := range graphs {
-		seqVec, seqSt := NibbleSeq(g, 1, 1e-5, 12)
+		seqVec, seqSt := NibbleSeq(g, []uint32{1}, 1e-5, 12)
 		for _, p := range procsUnderTest() {
-			parVec, parSt := NibblePar(g, 1, 1e-5, 12, p)
+			parVec, parSt := NibbleRun(g, []uint32{1}, 1e-5, 12, RunConfig{Procs: p})
 			if parSt.Iterations != seqSt.Iterations {
 				t.Fatalf("%s p=%d: iterations %d vs %d", name, p, parSt.Iterations, seqSt.Iterations)
 			}
@@ -86,7 +86,7 @@ func TestNibbleEarlyStopReturnsPrevious(t *testing.T) {
 	// With a huge eps the first step truncates everything: the returned
 	// vector must be p_0 (mass 1 on the seed) per Figure 3 lines 15-16.
 	g := gen.Grid3D(1, 5) // degree 6 everywhere
-	vec, st := NibbleSeq(g, 0, 0.2, 10)
+	vec, st := NibbleSeq(g, []uint32{0}, 0.2, 10)
 	// Frontier after step 1: p'(seed) = 0.5 < 0.2*6 = 1.2, neighbors get
 	// 1/12 each < 1.2 -> empty, so p_0 is returned.
 	if vec.Len() != 1 || vec.Get(0) != 1 {
@@ -95,7 +95,7 @@ func TestNibbleEarlyStopReturnsPrevious(t *testing.T) {
 	if st.Iterations != 1 {
 		t.Fatalf("iterations = %d, want 1", st.Iterations)
 	}
-	pv, _ := NibblePar(g, 0, 0.2, 10, 4)
+	pv, _ := NibbleRun(g, []uint32{0}, 0.2, 10, RunConfig{Procs: 4})
 	if pv.Len() != 1 || pv.Get(0) != 1 {
 		t.Fatalf("parallel: expected p_0, got len=%d", pv.Len())
 	}
@@ -106,11 +106,11 @@ func TestNibbleSubThresholdSeed(t *testing.T) {
 	// once (the frontier is initialized to {x} unconditionally), the filter
 	// then empties the frontier, and p_0 is returned.
 	g := gen.Clique(100) // degree 99
-	vec, st := NibbleSeq(g, 0, 0.5, 10)
+	vec, st := NibbleSeq(g, []uint32{0}, 0.5, 10)
 	if vec.Len() != 1 || vec.Get(0) != 1 || st.Iterations != 1 {
 		t.Fatalf("expected p_0 after one iteration, got len=%d %+v", vec.Len(), st)
 	}
-	pv, stp := NibblePar(g, 0, 0.5, 10, 4)
+	pv, stp := NibbleRun(g, []uint32{0}, 0.5, 10, RunConfig{Procs: 4})
 	if pv.Len() != 1 || pv.Get(0) != 1 || stp.Iterations != 1 {
 		t.Fatalf("parallel: expected p_0 after one iteration, got %+v", stp)
 	}
@@ -120,8 +120,8 @@ func TestNibbleFindsBarbellCluster(t *testing.T) {
 	k := 25
 	g := gen.Barbell(k)
 	for _, p := range procsUnderTest() {
-		vec, _ := NibblePar(g, 3, 1e-7, 30, p)
-		res := SweepCutPar(g, vec, p)
+		vec, _ := NibbleRun(g, []uint32{3}, 1e-7, 30, RunConfig{Procs: p})
+		res := SweepCutParInto(g, vec, p, nil)
 		if len(res.Cluster) != k {
 			t.Fatalf("p=%d: cluster size %d, want %d", p, len(res.Cluster), k)
 		}
@@ -141,7 +141,7 @@ func TestPRNibbleMassConservation(t *testing.T) {
 	twoM := float64(g.TotalVolume())
 	for _, rule := range []PushRule{OriginalRule, OptimizedRule} {
 		eps := 1e-4
-		vec, _ := PRNibbleSeq(g, 0, 0.1, eps, rule)
+		vec, _ := PRNibbleSeq(g, []uint32{0}, 0.1, eps, rule, false)
 		sum := vec.Sum()
 		if sum > 1+1e-9 {
 			t.Fatalf("rule=%v: mass %v > 1", rule, sum)
@@ -150,7 +150,7 @@ func TestPRNibbleMassConservation(t *testing.T) {
 			t.Fatalf("rule=%v: mass %v < 1 - eps*2m = %v", rule, sum, 1-eps*twoM)
 		}
 		for _, p := range procsUnderTest() {
-			pv, _ := PRNibblePar(g, 0, 0.1, eps, rule, p, 1)
+			pv, _ := PRNibbleRun(g, []uint32{0}, 0.1, eps, rule, 1, RunConfig{Procs: p})
 			psum := pv.Sum()
 			if psum > 1+1e-9 || psum < 1-eps*twoM-1e-9 {
 				t.Fatalf("rule=%v p=%d: parallel mass %v out of range", rule, p, psum)
@@ -165,11 +165,11 @@ func TestPRNibbleTheorem3WorkBound(t *testing.T) {
 	alpha, eps := 0.01, 1e-5
 	bound := 1 / (eps * alpha)
 	for _, rule := range []PushRule{OriginalRule, OptimizedRule} {
-		_, st := PRNibbleSeq(g, 3, alpha, eps, rule)
+		_, st := PRNibbleSeq(g, []uint32{3}, alpha, eps, rule, false)
 		if float64(st.EdgesTouched) > bound {
 			t.Fatalf("rule=%v: seq EdgesTouched %d > bound %v", rule, st.EdgesTouched, bound)
 		}
-		_, stp := PRNibblePar(g, 3, alpha, eps, rule, 4, 1)
+		_, stp := PRNibbleRun(g, []uint32{3}, alpha, eps, rule, 1, RunConfig{Procs: 4})
 		if float64(stp.EdgesTouched) > bound {
 			t.Fatalf("rule=%v: par EdgesTouched %d > bound %v", rule, stp.EdgesTouched, bound)
 		}
@@ -180,8 +180,8 @@ func TestPRNibblePushInflationTable1(t *testing.T) {
 	// The parallel schedule performs more pushes than the sequential one,
 	// but Table 1 shows the inflation is modest (<= 1.6x there; allow 3x).
 	g := gen.CommunityGraph(1, 20000, 12, 6, 50, 500, 2.5, 21)
-	_, seqSt := PRNibbleSeq(g, 11, 0.01, 1e-6, OptimizedRule)
-	_, parSt := PRNibblePar(g, 11, 0.01, 1e-6, OptimizedRule, 4, 1)
+	_, seqSt := PRNibbleSeq(g, []uint32{11}, 0.01, 1e-6, OptimizedRule, false)
+	_, parSt := PRNibbleRun(g, []uint32{11}, 0.01, 1e-6, OptimizedRule, 1, RunConfig{Procs: 4})
 	if parSt.Pushes < seqSt.Pushes/2 {
 		t.Fatalf("parallel pushes %d suspiciously below sequential %d", parSt.Pushes, seqSt.Pushes)
 	}
@@ -197,10 +197,10 @@ func TestPRNibbleRulesFindSameCluster(t *testing.T) {
 	// Figure 4's experiment notes both rules return clusters with the same
 	// conductance.
 	g := gen.Barbell(20)
-	vo, _ := PRNibbleSeq(g, 2, 0.05, 1e-7, OriginalRule)
-	vp, _ := PRNibbleSeq(g, 2, 0.05, 1e-7, OptimizedRule)
-	ro := SweepCutSeq(g, vo)
-	rp := SweepCutSeq(g, vp)
+	vo, _ := PRNibbleSeq(g, []uint32{2}, 0.05, 1e-7, OriginalRule, false)
+	vp, _ := PRNibbleSeq(g, []uint32{2}, 0.05, 1e-7, OptimizedRule, false)
+	ro := SweepCutSeqInto(g, vo, nil)
+	rp := SweepCutSeqInto(g, vp, nil)
 	if math.Abs(ro.Conductance-rp.Conductance) > 1e-9 {
 		t.Fatalf("conductances differ: %v vs %v", ro.Conductance, rp.Conductance)
 	}
@@ -212,8 +212,8 @@ func TestPRNibbleRulesFindSameCluster(t *testing.T) {
 func TestPRNibbleOptimizedDoesLessWork(t *testing.T) {
 	// The Figure 4 claim: the optimized rule is faster. Proxy: fewer pushes.
 	g := gen.CommunityGraph(1, 10000, 12, 6, 50, 500, 2.5, 22)
-	_, stO := PRNibbleSeq(g, 5, 0.01, 1e-6, OriginalRule)
-	_, stN := PRNibbleSeq(g, 5, 0.01, 1e-6, OptimizedRule)
+	_, stO := PRNibbleSeq(g, []uint32{5}, 0.01, 1e-6, OriginalRule, false)
+	_, stN := PRNibbleSeq(g, []uint32{5}, 0.01, 1e-6, OptimizedRule, false)
 	if stN.Pushes >= stO.Pushes {
 		t.Fatalf("optimized pushes %d >= original %d", stN.Pushes, stO.Pushes)
 	}
@@ -221,15 +221,51 @@ func TestPRNibbleOptimizedDoesLessWork(t *testing.T) {
 
 func TestPRNibblePQVariantAgrees(t *testing.T) {
 	g := gen.Caveman(8, 8)
-	v1, _ := PRNibbleSeq(g, 0, 0.05, 1e-6, OptimizedRule)
-	v2, _ := PRNibbleSeqPQ(g, 0, 0.05, 1e-6, OptimizedRule)
-	r1 := SweepCutSeq(g, v1)
-	r2 := SweepCutSeq(g, v2)
-	// Push order changes the approximation slightly (the paper only claims
-	// the PQ variant "did not help much"); both must still find a
-	// low-conductance cluster around the seed's clique.
-	if r1.Conductance > 0.05 || r2.Conductance > 0.05 {
-		t.Fatalf("cluster quality degraded: FIFO %v, PQ %v", r1.Conductance, r2.Conductance)
+	for _, seeds := range [][]uint32{{0}, {0, 3, 6}} {
+		v1, _ := PRNibbleSeq(g, seeds, 0.05, 1e-6, OptimizedRule, false)
+		v2, _ := PRNibbleSeq(g, seeds, 0.05, 1e-6, OptimizedRule, true)
+		r1 := SweepCutSeqInto(g, v1, nil)
+		r2 := SweepCutSeqInto(g, v2, nil)
+		// Push order changes the approximation slightly (the paper only
+		// claims the PQ variant "did not help much"); both must still find
+		// a low-conductance cluster around the seeds' clique.
+		if r1.Conductance > 0.05 || r2.Conductance > 0.05 {
+			t.Fatalf("seeds %v: cluster quality degraded: FIFO %v, PQ %v", seeds, r1.Conductance, r2.Conductance)
+		}
+	}
+}
+
+// TestPRNibbleSeqPriorityPinned pins the priority-queue schedule to exact
+// counters and vector entries on the Figure 1 graph, under both push rules
+// (the original rule exercises repeated pushes of one popped vertex).
+func TestPRNibbleSeqPriorityPinned(t *testing.T) {
+	g := gen.Figure1()
+	for _, tc := range []struct {
+		rule PushRule
+		st   Stats
+		vec  []float64 // indexed by vertex
+	}{
+		{OriginalRule, Stats{Pushes: 365, Iterations: 365, EdgesTouched: 748}, []float64{
+			0.3288650767943619, 0.19972407182421134, 0.24030055762468092, 0.119788520423593,
+			0.03635448647199167, 0.02432643437759548, 0.02432643437759548, 0.014694387878712446,
+		}},
+		{OptimizedRule, Stats{Pushes: 101, Iterations: 101, EdgesTouched: 208}, []float64{
+			0.32933371471272066, 0.20043496261010996, 0.24092762416798874, 0.12023509700834707,
+			0.03654528880686903, 0.024444399870096896, 0.024444399870096896, 0.014950345420991875,
+		}},
+	} {
+		vec, st := PRNibbleSeq(g, []uint32{0}, 0.1, 1e-3, tc.rule, true)
+		if st != tc.st {
+			t.Fatalf("rule %v: stats %+v, want %+v", tc.rule, st, tc.st)
+		}
+		if vec.Len() != len(tc.vec) {
+			t.Fatalf("rule %v: support %d, want %d", tc.rule, vec.Len(), len(tc.vec))
+		}
+		for v, want := range tc.vec {
+			if got := vec.Get(uint32(v)); got != want {
+				t.Fatalf("rule %v: p[%d] = %v, want %v", tc.rule, v, got, want)
+			}
+		}
 	}
 }
 
@@ -237,8 +273,8 @@ func TestPRNibbleBetaFraction(t *testing.T) {
 	// beta < 1 processes fewer vertices per iteration: more iterations, and
 	// the returned vector must still be a valid PageRank approximation.
 	g := gen.CommunityGraph(1, 5000, 12, 6, 50, 200, 2.5, 23)
-	vFull, stFull := PRNibblePar(g, 9, 0.02, 1e-6, OptimizedRule, 4, 1)
-	vBeta, stBeta := PRNibblePar(g, 9, 0.02, 1e-6, OptimizedRule, 4, 0.25)
+	vFull, stFull := PRNibbleRun(g, []uint32{9}, 0.02, 1e-6, OptimizedRule, 1, RunConfig{Procs: 4})
+	vBeta, stBeta := PRNibbleRun(g, []uint32{9}, 0.02, 1e-6, OptimizedRule, 0.25, RunConfig{Procs: 4})
 	if stBeta.Iterations <= stFull.Iterations {
 		t.Fatalf("beta=0.25 iterations %d <= beta=1 iterations %d", stBeta.Iterations, stFull.Iterations)
 	}
@@ -246,8 +282,8 @@ func TestPRNibbleBetaFraction(t *testing.T) {
 	if sum <= 0 || sum > 1+1e-9 {
 		t.Fatalf("beta vector mass %v", sum)
 	}
-	rFull := SweepCutSeq(g, vFull)
-	rBeta := SweepCutSeq(g, vBeta)
+	rFull := SweepCutSeqInto(g, vFull, nil)
+	rBeta := SweepCutSeqInto(g, vBeta, nil)
 	if rBeta.Conductance > 3*rFull.Conductance+0.05 {
 		t.Fatalf("beta cluster much worse: %v vs %v", rBeta.Conductance, rFull.Conductance)
 	}
@@ -257,8 +293,8 @@ func TestPRNibbleParFindsBarbell(t *testing.T) {
 	k := 25
 	g := gen.Barbell(k)
 	for _, p := range procsUnderTest() {
-		vec, _ := PRNibblePar(g, 0, 0.01, 1e-7, OptimizedRule, p, 1)
-		res := SweepCutPar(g, vec, p)
+		vec, _ := PRNibbleRun(g, []uint32{0}, 0.01, 1e-7, OptimizedRule, 1, RunConfig{Procs: p})
+		res := SweepCutParInto(g, vec, p, nil)
 		if len(res.Cluster) != k || res.Cut != 1 {
 			t.Fatalf("p=%d: cluster size %d cut %d", p, len(res.Cluster), res.Cut)
 		}
@@ -267,11 +303,11 @@ func TestPRNibbleParFindsBarbell(t *testing.T) {
 
 func TestPRNibbleIsolatedSeed(t *testing.T) {
 	g := graph.FromEdges(1, 5, []graph.Edge{{U: 0, V: 1}})
-	vec, st := PRNibbleSeq(g, 3, 0.1, 1e-6, OptimizedRule)
+	vec, st := PRNibbleSeq(g, []uint32{3}, 0.1, 1e-6, OptimizedRule, false)
 	if vec.Len() != 0 || st.Pushes != 0 {
 		t.Fatalf("isolated seed should do nothing: len=%d %+v", vec.Len(), st)
 	}
-	pv, pst := PRNibblePar(g, 3, 0.1, 1e-6, OptimizedRule, 2, 1)
+	pv, pst := PRNibbleRun(g, []uint32{3}, 0.1, 1e-6, OptimizedRule, 1, RunConfig{Procs: 2})
 	if pv.Len() != 0 || pst.Pushes != 0 {
 		t.Fatalf("parallel isolated seed should do nothing")
 	}
@@ -280,14 +316,14 @@ func TestPRNibbleIsolatedSeed(t *testing.T) {
 func TestSeedOutOfRangePanics(t *testing.T) {
 	g := gen.Figure1()
 	for name, fn := range map[string]func(){
-		"NibbleSeq":   func() { NibbleSeq(g, 8, 1e-4, 5) },
-		"NibblePar":   func() { NibblePar(g, 100, 1e-4, 5, 2) },
-		"PRNibbleSeq": func() { PRNibbleSeq(g, 8, 0.1, 1e-4, OptimizedRule) },
-		"PRNibblePar": func() { PRNibblePar(g, 8, 0.1, 1e-4, OptimizedRule, 2, 1) },
-		"HKPRSeq":     func() { HKPRSeq(g, 8, 2, 5, 1e-4) },
-		"HKPRPar":     func() { HKPRPar(g, 8, 2, 5, 1e-4, 2) },
-		"RandHKPRSeq": func() { RandHKPRSeq(g, 8, 2, 5, 10, 1) },
-		"RandHKPRPar": func() { RandHKPRPar(g, 8, 2, 5, 10, 1, 2) },
+		"NibbleSeq":   func() { NibbleSeq(g, []uint32{8}, 1e-4, 5) },
+		"NibbleRun":   func() { NibbleRun(g, []uint32{100}, 1e-4, 5, RunConfig{Procs: 2}) },
+		"PRNibbleSeq": func() { PRNibbleSeq(g, []uint32{8}, 0.1, 1e-4, OptimizedRule, false) },
+		"PRNibbleRun": func() { PRNibbleRun(g, []uint32{8}, 0.1, 1e-4, OptimizedRule, 1, RunConfig{Procs: 2}) },
+		"HKPRSeq":     func() { HKPRSeq(g, []uint32{8}, 2, 5, 1e-4) },
+		"HKPRRun":     func() { HKPRRun(g, []uint32{8}, 2, 5, 1e-4, RunConfig{Procs: 2}) },
+		"RandHKPRSeq": func() { RandHKPRSeq(g, []uint32{8}, 2, 5, 10, 1) },
+		"RandHKPRRun": func() { RandHKPRRun(g, []uint32{8}, 2, 5, 10, 1, RunConfig{Procs: 2}) },
 	} {
 		func() {
 			defer func() {
@@ -333,7 +369,7 @@ func TestHKPRMassApproximatelyOne(t *testing.T) {
 	// N >= 2t log(1/eps) and small eps, the mass should be close to 1
 	// (truncation drops only the Taylor tail and sub-threshold residuals).
 	g := gen.Caveman(10, 8)
-	vec, _ := HKPRSeq(g, 0, 3, 20, 1e-7)
+	vec, _ := HKPRSeq(g, []uint32{0}, 3, 20, 1e-7)
 	sum := vec.Sum()
 	if sum < 0.9 || sum > 1+1e-9 {
 		t.Fatalf("mass = %v, want ~1", sum)
@@ -347,9 +383,9 @@ func TestHKPRParMatchesSeq(t *testing.T) {
 		"grid3d":  gen.Grid3D(1, 7),
 	}
 	for name, g := range graphs {
-		seqVec, seqSt := HKPRSeq(g, 1, 4, 15, 1e-6)
+		seqVec, seqSt := HKPRSeq(g, []uint32{1}, 4, 15, 1e-6)
 		for _, p := range procsUnderTest() {
-			parVec, parSt := HKPRPar(g, 1, 4, 15, 1e-6, p)
+			parVec, parSt := HKPRRun(g, []uint32{1}, 4, 15, 1e-6, RunConfig{Procs: p})
 			if parSt.Pushes != seqSt.Pushes {
 				t.Fatalf("%s p=%d: pushes %d vs %d (identical entry sets expected)",
 					name, p, parSt.Pushes, seqSt.Pushes)
@@ -365,8 +401,8 @@ func TestHKPRFindsBarbell(t *testing.T) {
 	k := 25
 	g := gen.Barbell(k)
 	for _, p := range procsUnderTest() {
-		vec, _ := HKPRPar(g, 0, 10, 20, 1e-7, p)
-		res := SweepCutPar(g, vec, p)
+		vec, _ := HKPRRun(g, []uint32{0}, 10, 20, 1e-7, RunConfig{Procs: p})
+		res := SweepCutParInto(g, vec, p, nil)
 		if len(res.Cluster) != k || res.Cut != 1 {
 			t.Fatalf("p=%d: cluster size %d cut %d", p, len(res.Cluster), res.Cut)
 		}
@@ -376,7 +412,7 @@ func TestHKPRFindsBarbell(t *testing.T) {
 func TestHKPRNOne(t *testing.T) {
 	// N = 1: single level; the seed's mass goes to p and spreads once.
 	g := gen.Cycle(10)
-	vec, st := HKPRSeq(g, 0, 1, 1, 1e-4)
+	vec, st := HKPRSeq(g, []uint32{0}, 1, 1, 1e-4)
 	if st.Pushes != 1 {
 		t.Fatalf("pushes = %d, want 1", st.Pushes)
 	}
@@ -387,7 +423,7 @@ func TestHKPRNOne(t *testing.T) {
 	if math.Abs(vec.Get(1)-math.Exp(-1)/2) > 1e-12 {
 		t.Fatalf("p[ngh] = %v", vec.Get(1))
 	}
-	pv, _ := HKPRPar(g, 0, 1, 1, 1e-4, 2)
+	pv, _ := HKPRRun(g, []uint32{0}, 1, 1, 1e-4, RunConfig{Procs: 2})
 	if ok, why := vectorsClose(vec, pv, 1e-12); !ok {
 		t.Fatalf("parallel N=1 differs: %s", why)
 	}
@@ -399,10 +435,10 @@ func TestRandHKPRSeqParIdentical(t *testing.T) {
 	// Walk i's randomness comes from Split(seed, i) in every version, so
 	// all three implementations return bit-identical vectors.
 	g := gen.Caveman(10, 8)
-	seq, seqSt := RandHKPRSeq(g, 0, 5, 10, 5000, 42)
+	seq, seqSt := RandHKPRSeq(g, []uint32{0}, 5, 10, 5000, 42)
 	for _, p := range procsUnderTest() {
-		par, parSt := RandHKPRPar(g, 0, 5, 10, 5000, 42, p)
-		con, _ := RandHKPRParContended(g, 0, 5, 10, 5000, 42, p)
+		par, parSt := RandHKPRRun(g, []uint32{0}, 5, 10, 5000, 42, RunConfig{Procs: p})
+		con, _ := RandHKPRParContended(g, []uint32{0}, 5, 10, 5000, 42, p)
 		if seq.Len() != par.Len() || seq.Len() != con.Len() {
 			t.Fatalf("p=%d: support sizes %d / %d / %d", p, seq.Len(), par.Len(), con.Len())
 		}
@@ -423,7 +459,7 @@ func TestRandHKPRSeqParIdentical(t *testing.T) {
 func TestRandHKPRDistribution(t *testing.T) {
 	// The vector is an empirical distribution: non-negative, sums to 1.
 	g := gen.Barbell(15)
-	vec, st := RandHKPRSeq(g, 0, 5, 10, 2000, 7)
+	vec, st := RandHKPRSeq(g, []uint32{0}, 5, 10, 2000, 7)
 	sum := 0.0
 	vec.ForEach(func(_ uint32, v float64) {
 		if v < 0 {
@@ -442,8 +478,8 @@ func TestRandHKPRDistribution(t *testing.T) {
 func TestRandHKPRFindsBarbell(t *testing.T) {
 	k := 25
 	g := gen.Barbell(k)
-	vec, _ := RandHKPRPar(g, 0, 10, 15, 20000, 3, 0)
-	res := SweepCutPar(g, vec, 0)
+	vec, _ := RandHKPRRun(g, []uint32{0}, 10, 15, 20000, 3, RunConfig{})
+	res := SweepCutParInto(g, vec, 0, nil)
 	// The randomized method is noisier; require the planted cut be found
 	// with the bridge as the only crossing edge.
 	if res.Cut != 1 || len(res.Cluster) != k {
@@ -453,7 +489,7 @@ func TestRandHKPRFindsBarbell(t *testing.T) {
 
 func TestRandHKPRIsolatedSeed(t *testing.T) {
 	g := graph.FromEdges(1, 3, []graph.Edge{{U: 0, V: 1}})
-	vec, _ := RandHKPRSeq(g, 2, 5, 10, 100, 1)
+	vec, _ := RandHKPRSeq(g, []uint32{2}, 5, 10, 100, 1)
 	if vec.Len() != 1 || vec.Get(2) != 1 {
 		t.Fatalf("all walks should stay on the isolated seed: %v", vec.Get(2))
 	}
@@ -462,7 +498,7 @@ func TestRandHKPRIsolatedSeed(t *testing.T) {
 func TestRandHKPRZeroLengthWalks(t *testing.T) {
 	// t = 0: every walk has length 0 and ends on the seed.
 	g := gen.Cycle(10)
-	vec, _ := RandHKPRPar(g, 3, 0, 5, 1000, 9, 4)
+	vec, _ := RandHKPRRun(g, []uint32{3}, 0, 5, 1000, 9, RunConfig{Procs: 4})
 	if vec.Len() != 1 || vec.Get(3) != 1 {
 		t.Fatalf("t=0 should leave all mass on the seed")
 	}
@@ -481,14 +517,14 @@ func TestAllAlgorithmsAgreeOnBarbell(t *testing.T) {
 		res  SweepResult
 	}
 	var results []result
-	nv, _ := NibblePar(g, 0, 1e-7, 30, 0)
-	results = append(results, result{"nibble", SweepCutPar(g, nv, 0)})
-	pv, _ := PRNibblePar(g, 0, 0.01, 1e-7, OptimizedRule, 0, 1)
-	results = append(results, result{"prnibble", SweepCutPar(g, pv, 0)})
-	hv, _ := HKPRPar(g, 0, 10, 20, 1e-7, 0)
-	results = append(results, result{"hkpr", SweepCutPar(g, hv, 0)})
-	rv, _ := RandHKPRPar(g, 0, 10, 15, 20000, 5, 0)
-	results = append(results, result{"randhk", SweepCutPar(g, rv, 0)})
+	nv, _ := NibbleRun(g, []uint32{0}, 1e-7, 30, RunConfig{})
+	results = append(results, result{"nibble", SweepCutParInto(g, nv, 0, nil)})
+	pv, _ := PRNibbleRun(g, []uint32{0}, 0.01, 1e-7, OptimizedRule, 1, RunConfig{})
+	results = append(results, result{"prnibble", SweepCutParInto(g, pv, 0, nil)})
+	hv, _ := HKPRRun(g, []uint32{0}, 10, 20, 1e-7, RunConfig{})
+	results = append(results, result{"hkpr", SweepCutParInto(g, hv, 0, nil)})
+	rv, _ := RandHKPRRun(g, []uint32{0}, 10, 15, 20000, 5, RunConfig{})
+	results = append(results, result{"randhk", SweepCutParInto(g, rv, 0, nil)})
 	for _, r := range results {
 		if len(r.res.Cluster) != k {
 			t.Errorf("%s: cluster size %d, want %d", r.name, len(r.res.Cluster), k)
@@ -515,20 +551,20 @@ func TestAllAlgorithmsFindPlantedSBMBlock(t *testing.T) {
 	}
 	check := func(name string, vec *sparse.Map) {
 		t.Helper()
-		res := SweepCutPar(g, vec, 0)
+		res := SweepCutParInto(g, vec, 0, nil)
 		in, out := inBlock(res.Cluster)
 		if in < 300 || out > 40 {
 			t.Errorf("%s: recovered %d in-block, %d out-of-block (size %d, phi %.3f)",
 				name, in, out, len(res.Cluster), res.Conductance)
 		}
 	}
-	nv, _ := NibblePar(g, 5, 1e-7, 25, 0)
+	nv, _ := NibbleRun(g, []uint32{5}, 1e-7, 25, RunConfig{})
 	check("nibble", nv)
-	pv, _ := PRNibblePar(g, 5, 0.01, 1e-7, OptimizedRule, 0, 1)
+	pv, _ := PRNibbleRun(g, []uint32{5}, 0.01, 1e-7, OptimizedRule, 1, RunConfig{})
 	check("prnibble", pv)
-	hv, _ := HKPRPar(g, 5, 10, 20, 1e-7, 0)
+	hv, _ := HKPRRun(g, []uint32{5}, 10, 20, 1e-7, RunConfig{})
 	check("hkpr", hv)
-	rv, _ := RandHKPRPar(g, 5, 10, 15, 50000, 5, 0)
+	rv, _ := RandHKPRRun(g, []uint32{5}, 10, 15, 50000, 5, RunConfig{})
 	check("randhk", rv)
 }
 

@@ -65,7 +65,7 @@ func requireLaneMatches(t *testing.T, label string, g *graph.CSR, procs int, wan
 	}
 	if procs == 1 {
 		requireMapsIdentical(t, label, want, got)
-		requireSweepsIdentical(t, label, SweepCutSeq(g, want), SweepCutSeq(g, got))
+		requireSweepsIdentical(t, label, SweepCutSeqInto(g, want, nil), SweepCutSeqInto(g, got, nil))
 		return
 	}
 	if ok, why := vectorsClose(want, got, 1e-9); !ok {

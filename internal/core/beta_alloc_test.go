@@ -2,8 +2,8 @@ package core
 
 // beta_alloc_test.go pins the β-fraction ranking's allocation contract:
 // topBetaFraction was the last per-call sweep allocation (the frontier-ID
-// copy plus parallel.Sort's merge scratch, DESIGN §7) — both now come from
-// the workspace, so a warm workspace ranks for free.
+// copy plus the parallel sort's merge scratch, DESIGN §7) — both now come
+// from the workspace, so a warm workspace ranks for free.
 
 import (
 	"testing"

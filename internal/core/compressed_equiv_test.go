@@ -74,8 +74,8 @@ func TestPropertyCompressedMatchesHeap(t *testing.T) {
 						requireMapsIdentical(t, label, want, got)
 						if want.Len() > 0 {
 							requireSweepsIdentical(t, label,
-								SweepCutPar(heap, want, procs),
-								SweepCutPar(comp, got, procs))
+								SweepCutParInto(heap, want, procs, nil),
+								SweepCutParInto(comp, got, procs, nil))
 						}
 					}
 				}

@@ -98,7 +98,7 @@ type RunConfig struct {
 	// arenas. Results are bit-identical with and without a pool.
 	Workspace *workspace.Pool
 	// Result, when non-nil, is the arena the run's *result* is snapshotted
-	// into (the vecFromTable map, and — via SweepCutParInto — the sweep
+	// into (the vecFromTableInto map, and — via SweepCutParInto — the sweep
 	// arrays downstream). Unlike Workspace scratch, which the run itself
 	// releases, the result must outlive the run: the caller owns the arena
 	// and releases it after the last read of the returned vector, so the
@@ -333,7 +333,7 @@ func (e *frontierEngine) round(frontier ligra.VertexSubset, spec roundSpec) []ui
 		ligra.VertexMapIndexed(e.procs, frontier, func(i int, v uint32) {
 			shares[i] = spec.source(i, v)
 		})
-		ligra.EdgeApplyIndexed(e.procs, e.g, frontier, func(i int, _, dst uint32) {
+		ligra.EdgeApplyIndexedScratch(e.procs, e.g, frontier, nil, nil, func(i int, _, dst uint32) {
 			scratch.Add(dst, shares[i])
 		})
 	}
@@ -362,8 +362,9 @@ func (e *frontierEngine) merge(dst *vec, touched []uint32, delta *vec) {
 // are dead by the time filter runs, and the filter input is an
 // accumulator's touched-key list, which never aliases the buffer.
 func (e *frontierEngine) filter(touched []uint32, keep func(v uint32) bool) ligra.VertexSubset {
+	var buf []uint32
 	if e.wentDense || e.ws.HasIDs() {
-		return ligra.VertexFilterInto(e.procs, ligra.FromIDs(touched), e.ws.IDs(), keep)
+		buf = e.ws.IDs()
 	}
-	return ligra.VertexFilter(e.procs, ligra.FromIDs(touched), keep)
+	return ligra.VertexFilterInto(e.procs, ligra.FromIDs(touched), buf, keep)
 }

@@ -220,7 +220,7 @@ func evolvingSetSteps(g graph.Graph, seed uint32, opts EvolvingSetOptions, procs
 	var st Stats
 	r := rng.New(opts.Seed)
 	n := g.NumVertices()
-	S := ligra.FromVertices(seed)
+	S := ligra.FromIDs([]uint32{seed})
 	inS := newVec(n, opts.Frontier, 4, ws)
 	inS.Add(seed, 1)
 	walk := seed
@@ -261,7 +261,7 @@ func evolvingSetSteps(g graph.Graph, seed uint32, opts EvolvingSetOptions, procs
 		// every member of S with degree > 0 receives a count from its
 		// neighbors only if a neighbor is in S. Handle the general case by
 		// also filtering S itself and merging without duplicates.
-		extra := ligra.VertexFilter(procs, S, func(v uint32) bool {
+		extra := ligra.VertexFilterInto(procs, S, nil, func(v uint32) bool {
 			return counts.Get(v) == 0 && qAbove(v)
 		})
 		merged := append(append([]uint32{}, nextMembers.IDs()...), extra.IDs()...)

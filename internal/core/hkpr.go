@@ -54,15 +54,10 @@ func hkThreshold(t, eps float64, N int, psi []float64, d uint32, j int) float64 
 func hkKey(v uint32, j int) uint64 { return uint64(j)<<32 | uint64(v) }
 
 // HKPRSeq is the sequential HK-PR implementation: a FIFO queue of (v, j)
-// entries processed exactly as in [24]. Work: O(N^2 + N e^t / eps).
-func HKPRSeq(g graph.Graph, seed uint32, t float64, N int, eps float64) (*sparse.Map, Stats) {
-	return HKPRSeqFrom(g, []uint32{seed}, t, N, eps)
-}
-
-// HKPRSeqFrom is HKPRSeq with a multi-vertex seed set (footnote 5 of the
-// paper): the unit of level-0 residual is split evenly over the seeds, all
-// of which are enqueued.
-func HKPRSeqFrom(g graph.Graph, seeds []uint32, t float64, N int, eps float64) (*sparse.Map, Stats) {
+// entries processed exactly as in [24]. Work: O(N^2 + N e^t / eps). It
+// takes a seed set (footnote 5 of the paper): the unit of level-0 residual
+// is split evenly over the seeds, all of which are enqueued.
+func HKPRSeq(g graph.Graph, seeds []uint32, t float64, N int, eps float64) (*sparse.Map, Stats) {
 	seeds = normalizeSeeds(g, seeds)
 	if N < 1 {
 		N = 1
@@ -119,30 +114,17 @@ func HKPRSeqFrom(g graph.Graph, seeds []uint32, t float64, N int, eps float64) (
 	return p, st
 }
 
-// HKPRPar is the parallel HK-PR of Figure 7: levels are processed
-// synchronously (all queue entries sharing a level value in parallel),
-// which is safe because level-j pushes only write level-j+1 residuals.
-// Theorem 4: O(N^2 + N e^t / eps) work, O(N t log(1/eps)) depth.
+// HKPRRun is the parallel HK-PR of Figure 7, from a seed set: levels are
+// processed synchronously (all queue entries sharing a level value in
+// parallel), which is safe because level-j pushes only write level-j+1
+// residuals. Theorem 4: O(N^2 + N e^t / eps) work, O(N t log(1/eps)) depth.
+// The level loop rides the shared frontier engine (engine.go): each level
+// is one engine round pushing tOverJ-scaled shares into the next level's
+// residual table, with the r/r' double buffer swapped between rounds.
 //
 // Note: Figure 7's listing guards the normal rounds with "if j + 1 == N";
 // per the surrounding text the condition must select the *last* round, and
 // this implementation follows the text.
-func HKPRPar(g graph.Graph, seed uint32, t float64, N int, eps float64, procs int) (*sparse.Map, Stats) {
-	return HKPRParFrom(g, []uint32{seed}, t, N, eps, procs, FrontierAuto)
-}
-
-// HKPRParFrom is HKPRPar with a multi-vertex seed set and an explicit
-// frontier mode. The level loop rides the shared frontier engine
-// (engine.go): each level is one engine round pushing tOverJ-scaled shares
-// into the next level's residual table, with the r/r' double buffer
-// swapped between rounds.
-func HKPRParFrom(g graph.Graph, seeds []uint32, t float64, N int, eps float64, procs int, mode FrontierMode) (*sparse.Map, Stats) {
-	return HKPRRun(g, seeds, t, N, eps, RunConfig{Procs: procs, Frontier: mode})
-}
-
-// HKPRRun is HKPRParFrom with a RunConfig, the entry point that can
-// additionally borrow all graph-sized scratch state from a workspace pool.
-// Results are bit-identical with and without a pool.
 func HKPRRun(g graph.Graph, seeds []uint32, t float64, N int, eps float64, cfg RunConfig) (*sparse.Map, Stats) {
 	seeds = normalizeSeeds(g, seeds)
 	procs := parallel.ResolveProcs(cfg.Procs)

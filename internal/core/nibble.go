@@ -21,14 +21,10 @@ import (
 // on sub-threshold vertices is intentionally discarded (that is the
 // truncation). Theorem 2: O(T/eps) work and O(T log(1/eps)) depth.
 
-// NibbleSeq is the sequential Nibble implementation.
-func NibbleSeq(g graph.Graph, seed uint32, eps float64, T int) (*sparse.Map, Stats) {
-	return NibbleSeqFrom(g, []uint32{seed}, eps, T)
-}
-
-// NibbleSeqFrom is NibbleSeq with a multi-vertex seed set (footnote 5 of
-// the paper): the initial unit of mass is split evenly over the seeds.
-func NibbleSeqFrom(g graph.Graph, seeds []uint32, eps float64, T int) (*sparse.Map, Stats) {
+// NibbleSeq is the sequential Nibble implementation. It takes a seed set
+// (footnote 5 of the paper): the initial unit of mass is split evenly over
+// the seeds.
+func NibbleSeq(g graph.Graph, seeds []uint32, eps float64, T int) (*sparse.Map, Stats) {
 	seeds = normalizeSeeds(g, seeds)
 	var st Stats
 	p := sparse.NewMap(len(seeds))
@@ -71,28 +67,16 @@ func NibbleSeqFrom(g graph.Graph, seeds []uint32, eps float64, T int) (*sparse.M
 	return p, st
 }
 
-// NibblePar is the parallel Nibble implementation of Figure 3: a vertexMap
-// sends half of each frontier vertex's mass to itself, an edgeMap spreads
-// the rest with fetch-and-add, and a filter over the touched vertices forms
-// the next frontier.
-func NibblePar(g graph.Graph, seed uint32, eps float64, T, procs int) (*sparse.Map, Stats) {
-	return NibbleParFrom(g, []uint32{seed}, eps, T, procs, FrontierAuto)
-}
-
-// NibbleParFrom is NibblePar with a multi-vertex seed set and an explicit
-// frontier mode; larger seed sets grow the frontiers and, as the paper
-// notes, the available parallelism. The iteration skeleton — the
-// |frontier| + vol table bound (the locality guarantee: every entry of the
-// next vector is a frontier vertex or one of its neighbors), the
-// per-source share hoisting, the sparse/dense edge traversal, and the
-// threshold filter — lives in the shared frontier engine (engine.go).
-func NibbleParFrom(g graph.Graph, seeds []uint32, eps float64, T, procs int, mode FrontierMode) (*sparse.Map, Stats) {
-	return NibbleRun(g, seeds, eps, T, RunConfig{Procs: procs, Frontier: mode})
-}
-
-// NibbleRun is NibbleParFrom with a RunConfig, the entry point that can
-// additionally borrow all graph-sized scratch state from a workspace pool.
-// Results are bit-identical with and without a pool.
+// NibbleRun is the parallel Nibble implementation of Figure 3, from a seed
+// set: a vertexMap sends half of each frontier vertex's mass to itself, an
+// edgeMap spreads the rest with fetch-and-add, and a filter over the
+// touched vertices forms the next frontier. Larger seed sets grow the
+// frontiers and, as the paper notes, the available parallelism. The
+// iteration skeleton — the |frontier| + vol table bound (the locality
+// guarantee: every entry of the next vector is a frontier vertex or one of
+// its neighbors), the per-source share hoisting, the sparse/dense edge
+// traversal, and the threshold filter — lives in the shared frontier engine
+// (engine.go).
 func NibbleRun(g graph.Graph, seeds []uint32, eps float64, T int, cfg RunConfig) (*sparse.Map, Stats) {
 	seeds = normalizeSeeds(g, seeds)
 	procs := parallel.ResolveProcs(cfg.Procs)

@@ -47,20 +47,20 @@ func (r PushRule) coefficients(alpha float64) (pGain, edgeShare, selfKeep float6
 	}
 }
 
-// PRNibbleSeq runs sequential PR-Nibble from seed with teleportation
-// parameter alpha and threshold eps, using the given push rule. It returns
-// the PageRank vector p for the sweep cut. Work: O(1/(eps*alpha)).
+// PRNibbleSeq runs sequential PR-Nibble from a seed set (footnote 5 of the
+// paper: the initial residual is split evenly over the seeds) with
+// teleportation parameter alpha and threshold eps, using the given push
+// rule. It returns the PageRank vector p for the sweep cut. Work:
+// O(1/(eps*alpha)).
 //
 // As in [2], vertices with r(v) >= eps*d(v) wait in a FIFO queue; a popped
 // vertex is pushed repeatedly until it falls below threshold (a single push
-// suffices under the optimized rule, which zeroes the residual).
-func PRNibbleSeq(g graph.Graph, seed uint32, alpha, eps float64, rule PushRule) (*sparse.Map, Stats) {
-	return PRNibbleSeqFrom(g, []uint32{seed}, alpha, eps, rule)
-}
-
-// PRNibbleSeqFrom is PRNibbleSeq with a multi-vertex seed set (footnote 5
-// of the paper): the initial residual is split evenly over the seeds.
-func PRNibbleSeqFrom(g graph.Graph, seeds []uint32, alpha, eps float64, rule PushRule) (*sparse.Map, Stats) {
+// suffices under the optimized rule, which zeroes the residual). With
+// priority set, the queue instead pops the vertex with the highest
+// r(v)/d(v) at insertion time — the priority-queue variant the paper tried
+// (§3.3) and found "did not help much in practice"; it is kept for the
+// corresponding ablation.
+func PRNibbleSeq(g graph.Graph, seeds []uint32, alpha, eps float64, rule PushRule, priority bool) (*sparse.Map, Stats) {
 	seeds = normalizeSeeds(g, seeds)
 	var st Stats
 	pGain, edgeShare, selfKeep := rule.coefficients(alpha)
@@ -72,17 +72,30 @@ func PRNibbleSeqFrom(g graph.Graph, seeds []uint32, alpha, eps float64, rule Pus
 	}
 	above := func(v uint32) bool { return r.Get(v) >= eps*float64(g.Degree(v)) }
 	queue := make([]uint32, 0, len(seeds))
+	h := &residHeap{}
 	inQueue := sparse.NewMap(len(seeds)) // 1 if v is queued
+	enqueue := func(v uint32) {
+		if priority {
+			heap.Push(h, [2]float64{float64(v), r.Get(v) / float64(g.Degree(v))})
+		} else {
+			queue = append(queue, v)
+		}
+		inQueue.Set(v, 1)
+	}
 	for _, s := range seeds {
 		if above(s) && g.Degree(s) > 0 {
-			queue = append(queue, s)
-			inQueue.Set(s, 1)
+			enqueue(s)
 		}
 	}
 	var adj []uint32
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	for len(queue) > 0 || h.Len() > 0 {
+		var v uint32
+		if priority {
+			v = heap.Pop(h).(uint32)
+		} else {
+			v = queue[0]
+			queue = queue[1:]
+		}
 		inQueue.Delete(v)
 		ns := g.NeighborsInto(adj, v)
 		adj = ns
@@ -100,8 +113,7 @@ func PRNibbleSeqFrom(g graph.Graph, seeds []uint32, alpha, eps float64, rule Pus
 			st.EdgesTouched += int64(len(ns))
 			for _, w := range ns {
 				if above(w) && inQueue.Get(w) == 0 && g.Degree(w) > 0 {
-					queue = append(queue, w)
-					inQueue.Set(w, 1)
+					enqueue(w)
 				}
 			}
 		}
@@ -133,51 +145,4 @@ func (h *residHeap) Pop() any {
 	h.vs = h.vs[:n-1]
 	h.prios = h.prios[:n-1]
 	return v
-}
-
-// PRNibbleSeqPQ is the priority-queue variant the paper tried (§3.3):
-// identical to PRNibbleSeq but popping the queued vertex with the highest
-// r(v)/d(v) at insertion time. The paper found it "did not help much in
-// practice"; it is kept for the corresponding ablation benchmark.
-func PRNibbleSeqPQ(g graph.Graph, seed uint32, alpha, eps float64, rule PushRule) (*sparse.Map, Stats) {
-	checkSeed(g, seed)
-	var st Stats
-	pGain, edgeShare, selfKeep := rule.coefficients(alpha)
-	p := sparse.NewMap(16)
-	r := sparse.NewMap(16)
-	r.Set(seed, 1)
-	above := func(v uint32) bool { return r.Get(v) >= eps*float64(g.Degree(v)) }
-	h := &residHeap{}
-	inQueue := sparse.NewMap(16)
-	if above(seed) && g.Degree(seed) > 0 {
-		heap.Push(h, [2]float64{float64(seed), 1 / float64(g.Degree(seed))})
-		inQueue.Set(seed, 1)
-	}
-	var adj []uint32
-	for h.Len() > 0 {
-		v := heap.Pop(h).(uint32)
-		inQueue.Delete(v)
-		ns := g.NeighborsInto(adj, v)
-		adj = ns
-		d := float64(len(ns))
-		for above(v) {
-			rv := r.Get(v)
-			p.Add(v, pGain*rv)
-			share := edgeShare * rv / d
-			for _, w := range ns {
-				r.Add(w, share)
-			}
-			r.Set(v, selfKeep*rv)
-			st.Pushes++
-			st.Iterations++
-			st.EdgesTouched += int64(len(ns))
-			for _, w := range ns {
-				if above(w) && inQueue.Get(w) == 0 && g.Degree(w) > 0 {
-					heap.Push(h, [2]float64{float64(w), r.Get(w) / float64(g.Degree(w))})
-					inQueue.Set(w, 1)
-				}
-			}
-		}
-	}
-	return p, st
 }

@@ -29,26 +29,12 @@ import (
 // (engine.go), which also auto-selects the sparse or dense edge traversal
 // and vector representation per FrontierMode.
 
-// PRNibblePar runs parallel PR-Nibble from seed using procs workers.
+// PRNibbleRun runs parallel PR-Nibble from a seed set (footnote 5 of the
+// paper: the initial residual is split evenly over the seeds, and larger
+// seed sets grow the frontiers and with them the available parallelism).
 // beta in (0, 1] selects the β-fraction variant from the end of §3.3: each
 // iteration processes only the top β-fraction of above-threshold vertices
 // by r(v)/d(v) (beta = 1 processes all of them, the Figure 5/6 algorithm).
-func PRNibblePar(g graph.Graph, seed uint32, alpha, eps float64, rule PushRule, procs int, beta float64) (*sparse.Map, Stats) {
-	return PRNibbleParFrom(g, []uint32{seed}, alpha, eps, rule, procs, beta, FrontierAuto)
-}
-
-// PRNibbleParFrom is PRNibblePar with a multi-vertex seed set and an
-// explicit frontier mode; per the paper's footnote 5, larger seed sets
-// increase the frontier sizes at each iteration, and with them the
-// available parallelism — exactly the regime where the dense frontier
-// representation pays off.
-func PRNibbleParFrom(g graph.Graph, seeds []uint32, alpha, eps float64, rule PushRule, procs int, beta float64, mode FrontierMode) (*sparse.Map, Stats) {
-	return PRNibbleRun(g, seeds, alpha, eps, rule, beta, RunConfig{Procs: procs, Frontier: mode})
-}
-
-// PRNibbleRun is PRNibbleParFrom with a RunConfig, the entry point that can
-// additionally borrow all graph-sized scratch state from a workspace pool.
-// Results are bit-identical with and without a pool.
 func PRNibbleRun(g graph.Graph, seeds []uint32, alpha, eps float64, rule PushRule, beta float64, cfg RunConfig) (*sparse.Map, Stats) {
 	seeds = normalizeSeeds(g, seeds)
 	procs := parallel.ResolveProcs(cfg.Procs)
@@ -86,7 +72,7 @@ func prNibblePush(g graph.Graph, seeds []uint32, alpha, eps float64, rule PushRu
 		d := g.Degree(v)
 		return d > 0 && r.Get(v) >= eps*float64(d)
 	}
-	frontier := ligra.VertexFilter(procs, ligra.FromIDs(seeds), above)
+	frontier := ligra.VertexFilterInto(procs, ligra.FromIDs(seeds), nil, above)
 	// The β-fraction comparator is loop-invariant (it reads r through the
 	// captured variable); building it once keeps the per-round ranking free
 	// of the closure allocations the generic sort would otherwise force.
@@ -132,7 +118,7 @@ func prNibblePush(g graph.Graph, seeds []uint32, alpha, eps float64, rule PushRu
 		frontier = eng.filter(touched, above)
 	}
 	if prNibbleResidualSink != nil {
-		prNibbleResidualSink(vecFromTable(r))
+		prNibbleResidualSink(vecFromTableInto(r, nil))
 	}
 	return vecFromTableInto(p, res), st
 }

@@ -118,7 +118,7 @@ func TestPropertySweepMatchesBruteForce(t *testing.T) {
 			if vec.Len() == 0 {
 				t.Fatalf("empty diffusion vector")
 			}
-			res := SweepCutPar(g, vec, 4)
+			res := SweepCutParInto(g, vec, 4, nil)
 			N := len(res.Order)
 			if N == 0 {
 				t.Fatalf("empty sweep order")
@@ -181,7 +181,7 @@ func TestPropertyPooledMatchesUnpooled(t *testing.T) {
 				for _, mode := range modes {
 					label := algoName + "/" + mode.String()
 					want, wantSt := run(g, seed, RunConfig{Procs: 4, Frontier: mode})
-					wantSweep := SweepCutPar(g, want, 4)
+					wantSweep := SweepCutParInto(g, want, 4, nil)
 					// Two pooled runs through the same arena: the second
 					// recycles state the first left behind, which is exactly
 					// the serving steady state.

@@ -19,7 +19,7 @@ import (
 // poorly because many walks end on the same few vertices; its remedy is to
 // collect destinations in an array, integer-sort it, and count run lengths
 // with prefix sums and filter. Both versions are implemented:
-// RandHKPRPar (sort-based, the paper's choice) and RandHKPRParContended
+// RandHKPRRun (sort-based, the paper's choice) and RandHKPRParContended
 // (the negative result, kept as ablation A1).
 //
 // Both sequential and parallel versions derive walk i's randomness from
@@ -42,73 +42,21 @@ func walkFrom(g graph.Graph, start uint32, length int, r *rng.RNG) uint32 {
 	return v
 }
 
-// RandHKPRSeq is the sequential rand-HK-PR: N walks one after another,
-// counting final vertices in a sparse map. The returned vector is the
-// empirical distribution (1/N) * counts.
-func RandHKPRSeq(g graph.Graph, seed uint32, t float64, K, N int, walkSeed uint64) (*sparse.Map, Stats) {
-	return RandHKPRSeqFrom(g, []uint32{seed}, t, K, N, walkSeed)
-}
-
-// RandHKPRSeqFrom is RandHKPRSeq with a multi-vertex seed set: each walk
-// starts from a uniformly drawn seed (the seed distribution of [10] with
-// uniform mass over the set).
-func RandHKPRSeqFrom(g graph.Graph, seeds []uint32, t float64, K, N int, walkSeed uint64) (*sparse.Map, Stats) {
-	seeds = normalizeSeeds(g, seeds)
-	var st Stats
+// runWalks runs walks 0..N-1 on procs workers, handing walk i's final
+// vertex to sink(i, dest), and returns the walk-phase Stats (N pushes and
+// iterations, the total steps as edges touched). Walk i draws its start
+// (uniformly from the seed set; a singleton set consumes no randomness) and
+// its length from stream Split(walkSeed, i), so every version — whatever
+// its worker count or aggregation — sees the same destinations. cancel is
+// observed every 256 walks per worker; cancelled walks never reach sink.
+func runWalks(g graph.Graph, seeds []uint32, t float64, K, N int, walkSeed uint64, procs int, cancel <-chan struct{}, sink func(i int, dest uint32)) Stats {
 	tp := rng.NewTruncPoisson(t, K)
-	p := sparse.NewMap(16)
-	for i := 0; i < N; i++ {
-		r := rng.Split(walkSeed, uint64(i))
-		start := seeds[0]
-		if len(seeds) > 1 {
-			start = seeds[r.Intn(len(seeds))]
-		}
-		length := tp.Sample(&r)
-		dest := walkFrom(g, start, length, &r)
-		p.Add(dest, 1)
-		st.Pushes++
-		st.EdgesTouched += int64(length)
-	}
-	st.Iterations = N
-	scaleMap(p, 1/float64(N))
-	return p, st
-}
-
-// RandHKPRPar is the paper's parallel rand-HK-PR: all walks run in
-// parallel storing destinations into an array A; destinations are then
-// mapped to dense IDs with a concurrent hash table, integer-sorted with the
-// parallel radix sort, and counted by detecting run boundaries with filter
-// over the sorted array — no contended atomics anywhere on the hot path.
-func RandHKPRPar(g graph.Graph, seed uint32, t float64, K, N int, walkSeed uint64, procs int) (*sparse.Map, Stats) {
-	return RandHKPRParFrom(g, []uint32{seed}, t, K, N, walkSeed, procs)
-}
-
-// RandHKPRParFrom is RandHKPRPar with a multi-vertex seed set. Walk i draws
-// its start from stream Split(walkSeed, i) exactly as the sequential
-// version does, so the bit-identical-output guarantee extends to seed sets.
-func RandHKPRParFrom(g graph.Graph, seeds []uint32, t float64, K, N int, walkSeed uint64, procs int) (*sparse.Map, Stats) {
-	return RandHKPRRun(g, seeds, t, K, N, walkSeed, RunConfig{Procs: procs})
-}
-
-// RandHKPRRun is RandHKPRParFrom with a RunConfig. Only Procs, Result and
-// Cancel are consulted: the walks need no frontier engine and no
-// graph-sized scratch, so Frontier and Workspace are ignored; Result, when
-// set, is the arena the empirical distribution is built in (see
-// RunConfig.Result for the ownership contract). Cancellation is observed
-// every 256 walks per worker; a cancelled run returns a truncated (not
-// renormalized) distribution that callers must discard.
-func RandHKPRRun(g graph.Graph, seeds []uint32, t float64, K, N int, walkSeed uint64, cfg RunConfig) (*sparse.Map, Stats) {
-	seeds = normalizeSeeds(g, seeds)
-	procs := parallel.ResolveProcs(cfg.Procs)
-	var st Stats
-	tp := rng.NewTruncPoisson(t, K)
-	A := make([]uint32, N)
 	steps := make([]int64, (N+4095)/4096)
 	parallel.ForRange(procs, N, 4096, func(lo, hi int) {
 		var local int64
 		for i := lo; i < hi; i++ {
-			if i&255 == 0 && cancelled(cfg.Cancel) {
-				break // remaining destinations stay 0; caller discards
+			if i&255 == 0 && cancelled(cancel) {
+				break
 			}
 			r := rng.Split(walkSeed, uint64(i))
 			start := seeds[0]
@@ -116,14 +64,46 @@ func RandHKPRRun(g graph.Graph, seeds []uint32, t float64, K, N int, walkSeed ui
 				start = seeds[r.Intn(len(seeds))]
 			}
 			length := tp.Sample(&r)
-			A[i] = walkFrom(g, start, length, &r)
+			sink(i, walkFrom(g, start, length, &r))
 			local += int64(length)
 		}
 		steps[lo/4096] = local
 	})
-	st.Pushes = int64(N)
-	st.Iterations = N
-	st.EdgesTouched = parallel.Sum(procs, steps)
+	return Stats{Pushes: int64(N), Iterations: N, EdgesTouched: parallel.Sum(procs, steps)}
+}
+
+// RandHKPRSeq is the sequential rand-HK-PR: N walks one after another
+// (runWalks on one worker runs them in a single loop), counting final
+// vertices in a sparse map. The returned vector is the empirical
+// distribution (1/N) * counts. Each walk starts from a uniformly drawn
+// member of the seed set (the seed distribution of [10] with uniform mass
+// over the set).
+func RandHKPRSeq(g graph.Graph, seeds []uint32, t float64, K, N int, walkSeed uint64) (*sparse.Map, Stats) {
+	seeds = normalizeSeeds(g, seeds)
+	p := sparse.NewMap(16)
+	st := runWalks(g, seeds, t, K, N, walkSeed, 1, nil, func(_ int, dest uint32) { p.Add(dest, 1) })
+	scaleMap(p, 1/float64(N))
+	return p, st
+}
+
+// RandHKPRRun is the paper's parallel rand-HK-PR: all walks run in
+// parallel storing destinations into an array A; destinations are then
+// mapped to dense IDs with a concurrent hash table, integer-sorted with the
+// parallel radix sort, and counted by detecting run boundaries with filter
+// over the sorted array — no contended atomics anywhere on the hot path.
+//
+// Only cfg's Procs, Result, Cancel and Observer are consulted: the walks
+// need no frontier engine and no graph-sized scratch, so Frontier and
+// Workspace are ignored; Result, when set, is the arena the empirical
+// distribution is built in (see RunConfig.Result for the ownership
+// contract). Cancellation is observed every 256 walks per worker; a
+// cancelled run returns a truncated (not renormalized) distribution that
+// callers must discard.
+func RandHKPRRun(g graph.Graph, seeds []uint32, t float64, K, N int, walkSeed uint64, cfg RunConfig) (*sparse.Map, Stats) {
+	seeds = normalizeSeeds(g, seeds)
+	procs := parallel.ResolveProcs(cfg.Procs)
+	A := make([]uint32, N) // cancelled walks leave 0; the caller discards
+	st := runWalks(g, seeds, t, K, N, walkSeed, procs, cfg.Cancel, func(i int, dest uint32) { A[i] = dest })
 	if cfg.Observer != nil {
 		// No frontier rounds here — the walks are independent — so emit one
 		// synthetic event summarizing the whole walk phase: N "pushes" (one
@@ -145,7 +125,7 @@ func RandHKPRRun(g graph.Graph, seeds []uint32, t float64, K, N int, walkSeed ui
 
 	// Boundary detection: positions where the sorted value changes give the
 	// start of each run; consecutive boundaries give the counts.
-	starts := parallel.FilterIndex(procs, N, func(i int) bool {
+	starts := parallel.FilterIndexInto(procs, N, nil, func(i int) bool {
 		return i == 0 || ids[i] != ids[i-1]
 	})
 	var p *sparse.Map
@@ -169,28 +149,14 @@ func RandHKPRRun(g graph.Graph, seeds []uint32, t float64, K, N int, walkSeed ui
 // fetch-and-add on its destination's table entry). The paper reports this
 // "led to poor speed up since many random walks end up on the same vertex
 // causing high memory contention"; it is retained to reproduce that
-// comparison (ablation A1 in DESIGN.md).
-func RandHKPRParContended(g graph.Graph, seed uint32, t float64, K, N int, walkSeed uint64, procs int) (*sparse.Map, Stats) {
-	checkSeed(g, seed)
+// comparison (ablation A1 in DESIGN.md). It runs the same walks as
+// RandHKPRRun (runWalks), so the two return bit-identical vectors.
+func RandHKPRParContended(g graph.Graph, seeds []uint32, t float64, K, N int, walkSeed uint64, procs int) (*sparse.Map, Stats) {
+	seeds = normalizeSeeds(g, seeds)
 	procs = parallel.ResolveProcs(procs)
-	var st Stats
-	tp := rng.NewTruncPoisson(t, K)
 	table := sparse.NewConcurrent(N)
-	steps := make([]int64, (N+4095)/4096)
-	parallel.ForRange(procs, N, 4096, func(lo, hi int) {
-		var local int64
-		for i := lo; i < hi; i++ {
-			r := rng.Split(walkSeed, uint64(i))
-			length := tp.Sample(&r)
-			table.Add(walkFrom(g, seed, length, &r), 1)
-			local += int64(length)
-		}
-		steps[lo/4096] = local
-	})
-	st.Pushes = int64(N)
-	st.Iterations = N
-	st.EdgesTouched = parallel.Sum(procs, steps)
-	p := vecFromTable(table)
+	st := runWalks(g, seeds, t, K, N, walkSeed, procs, nil, func(_ int, dest uint32) { table.Add(dest, 1) })
+	p := vecFromTableInto(table, nil)
 	scaleMap(p, 1/float64(N))
 	return p, st
 }

@@ -17,23 +17,23 @@ import (
 //
 // Three implementations:
 //
-//   - SweepCutSeq: the standard sequential sweep (sort + incremental
+//   - SweepCutSeqInto: the standard sequential sweep (sort + incremental
 //     boundary maintenance), O(N log N + vol(S_N)) work.
-//   - SweepCutPar: the default parallel sweep. Per-rank crossing-edge
+//   - SweepCutParInto: the default parallel sweep. Per-rank crossing-edge
 //     deltas are accumulated with fetch-and-add into a rank-indexed array
 //     and prefix-summed — the same O(N log N + vol(S_N)) work and
 //     O(log vol) depth as Theorem 1, with the integer sort replaced by
 //     direct bucket accumulation (ablation A2 compares the two).
-//   - SweepCutParSort: the faithful Theorem 1 algorithm, building the
+//   - SweepCutParSortInto: the faithful Theorem 1 algorithm, building the
 //     (±1, rank) pair array Z, integer-sorting it by rank, and recovering
 //     per-rank crossing counts with prefix sums — including the worked
 //     example of §3.1, which the tests reproduce exactly.
 //
 // All three order ties (equal p[v]/d(v)) by ascending vertex ID, making the
 // sweep order — and therefore the returned cluster — identical across
-// implementations and worker counts. All three also have ...Into variants
-// that borrow every support-sized (and, for the sort-based sweep,
-// volume-sized) piece of result and scratch from a workspace.Result arena,
+// implementations and worker counts. All three borrow every support-sized
+// (and, for the sort-based sweep, volume-sized) piece of result and scratch
+// from a workspace.Result arena when one is passed (nil allocates fresh),
 // so batch ablations that run them hot allocate nothing per call
 // (DESIGN.md §7 has the measured numbers).
 
@@ -96,34 +96,36 @@ func sweepOrder(procs int, g graph.Graph, vec *sparse.Map, res *workspace.Result
 
 func emptySweep() SweepResult { return SweepResult{Conductance: 1} }
 
-// SweepCutSeq is the sequential sweep cut.
-func SweepCutSeq(g graph.Graph, vec *sparse.Map) SweepResult {
-	return SweepCutSeqInto(g, vec, nil)
+// rankTable maps each vertex of the sweep order to its rank+1, so that
+// Get == 0 means "outside the support". Every sweep variant shares the
+// convention, so the arena's one recycled hash table (borrowed from res
+// when one is configured) serves them all.
+func rankTable(procs int, order []uint32, res *workspace.Result) *sparse.ConcurrentMap {
+	var rank *sparse.ConcurrentMap
+	if res != nil {
+		rank = res.Hash(procs, len(order))
+	} else {
+		rank = sparse.NewConcurrent(len(order))
+	}
+	parallel.For(procs, len(order), 1024, func(i int) {
+		rank.Set(order[i], float64(i+1))
+	})
+	return rank
 }
 
-// SweepCutSeqInto is SweepCutSeq with the result and its scratch — the
-// sweep order, the rank table, the prefix conductances — borrowed from res
-// (nil = allocate fresh, exactly SweepCutSeq). The returned slices then
-// alias the arena and are valid until it is Reset or Released; results are
-// bit-identical with and without an arena.
+// SweepCutSeqInto is the standard sequential sweep cut (sort + incremental
+// boundary maintenance). The result and its scratch — the sweep order, the
+// rank table, the prefix conductances — are borrowed from res (nil =
+// allocate fresh). The returned slices then alias the arena and are valid
+// until it is Reset or Released; results are bit-identical with and
+// without an arena.
 func SweepCutSeqInto(g graph.Graph, vec *sparse.Map, res *workspace.Result) SweepResult {
 	order := sweepOrder(1, g, vec, res)
 	N := len(order)
 	if N == 0 {
 		return emptySweep()
 	}
-	// rank+1 stored so that Get == 0 means "outside the support" — the same
-	// convention as the parallel sweeps, so the arena's one recycled hash
-	// table serves every variant.
-	var rank *sparse.ConcurrentMap
-	if res != nil {
-		rank = res.Hash(1, N)
-	} else {
-		rank = sparse.NewConcurrent(N)
-	}
-	for i, v := range order {
-		rank.Set(v, float64(i+1))
-	}
+	rank := rankTable(1, order, res)
 	totalVol := g.TotalVolume()
 	prefix := resFloat64s(res, N)
 	var vol uint64
@@ -152,20 +154,15 @@ func SweepCutSeqInto(g graph.Graph, vec *sparse.Map, res *workspace.Result) Swee
 	return finishSweep(order, prefix, best, bestVol, bestCut)
 }
 
-// SweepCutPar is the default work-efficient parallel sweep cut: crossing
-// counts per rank are obtained by accumulating +1/-1 contributions of every
-// edge with fetch-and-add into a rank-indexed array, then prefix-summing.
-func SweepCutPar(g graph.Graph, vec *sparse.Map, procs int) SweepResult {
-	return SweepCutParInto(g, vec, procs, nil)
-}
-
-// SweepCutParInto is SweepCutPar with every support-sized piece of the
-// result and its scratch — the sweep order, the rank table, the crossing
-// counts, the prefix volumes and conductances — borrowed from res (nil =
-// allocate fresh, exactly SweepCutPar). The returned result's Cluster,
-// Order and PrefixConductance slices then alias the arena and are valid
-// until it is Reset or Released; results are bit-identical with and without
-// an arena.
+// SweepCutParInto is the default work-efficient parallel sweep cut:
+// crossing counts per rank are obtained by accumulating +1/-1
+// contributions of every edge with fetch-and-add into a rank-indexed array,
+// then prefix-summing. Every support-sized piece of the result and its
+// scratch — the sweep order, the rank table, the crossing counts, the
+// prefix volumes and conductances — is borrowed from res (nil = allocate
+// fresh). The returned result's Cluster, Order and PrefixConductance
+// slices then alias the arena and are valid until it is Reset or Released;
+// results are bit-identical with and without an arena.
 func SweepCutParInto(g graph.Graph, vec *sparse.Map, procs int, res *workspace.Result) SweepResult {
 	procs = parallel.ResolveProcs(procs)
 	order := sweepOrder(procs, g, vec, res)
@@ -173,16 +170,7 @@ func SweepCutParInto(g graph.Graph, vec *sparse.Map, procs int, res *workspace.R
 	if N == 0 {
 		return emptySweep()
 	}
-	// rank+1 stored so that Get == 0 means "outside the support".
-	var rank *sparse.ConcurrentMap
-	if res != nil {
-		rank = res.Hash(procs, N)
-	} else {
-		rank = sparse.NewConcurrent(N)
-	}
-	parallel.For(procs, N, 1024, func(i int) {
-		rank.Set(order[i], float64(i+1))
-	})
+	rank := rankTable(procs, order, res)
 	// Per-edge contributions. Each undirected edge inside the support is
 	// visited twice; only the visit from the lower-ranked endpoint
 	// contributes (+1 at its rank, -1 at the partner's), matching the
@@ -240,62 +228,17 @@ func resInts(res *workspace.Result, n int) []int {
 	return nil // FilterIndexInto allocates on demand
 }
 
-// SweepZPair is one (value, rank) pair of the Theorem-1 Z array, using the
-// paper's conventions: ranks are 1-based over the support and N+1 for
-// vertices outside it.
-type SweepZPair struct {
-	Value int // +1, -1, or 0
-	Rank  int
-}
-
-// BuildSweepZ constructs the (unsorted) Z array of Theorem 1 for a given
-// sweep order: for each vertex v in rank order and each incident edge
-// (v, w) in adjacency order, two consecutive pairs — (+1, rank v),
-// (-1, rank w) when rank w > rank v (case a), else (0, rank v), (0, rank w)
-// (case b). The §3.1 worked example is this construction on the Figure 1
-// graph, and the tests compare against it verbatim.
-func BuildSweepZ(g graph.Graph, order []uint32) []SweepZPair {
-	N := len(order)
-	rank := make(map[uint32]int, N)
-	for i, v := range order {
-		rank[v] = i + 1
-	}
-	var z []SweepZPair
-	var adj []uint32
-	for _, v := range order {
-		rv := rank[v]
-		ns := g.NeighborsInto(adj, v)
-		adj = ns
-		for _, w := range ns {
-			rw, ok := rank[w]
-			if !ok {
-				rw = N + 1
-			}
-			if rw > rv {
-				z = append(z, SweepZPair{Value: 1, Rank: rv}, SweepZPair{Value: -1, Rank: rw})
-			} else {
-				z = append(z, SweepZPair{Value: 0, Rank: rv}, SweepZPair{Value: 0, Rank: rw})
-			}
-		}
-	}
-	return z
-}
-
-// SweepCutParSort is the faithful Theorem 1 parallel sweep: it materializes
-// Z (two pairs per directed edge of the support), integer-sorts it by rank
-// with the parallel radix sort, prefix-sums the pair values, and reads the
-// per-rank crossing count off the last pair of each rank group.
-func SweepCutParSort(g graph.Graph, vec *sparse.Map, procs int) SweepResult {
-	return SweepCutParSortInto(g, vec, procs, nil)
-}
-
-// SweepCutParSortInto is SweepCutParSort with the result and all of its
-// scratch — the sweep order, the rank table, the Z pair array and its
-// prefix sums, the boundary index list, the per-rank crossing counts —
-// borrowed from res (nil = allocate fresh, exactly SweepCutParSort). Note
-// that Z is volume-sized (two pairs per support edge), so the arena's
-// uint64 slab grows to the sweep's edge volume and stays that size for
-// recycling; results are bit-identical with and without an arena.
+// SweepCutParSortInto is the faithful Theorem 1 parallel sweep: it
+// materializes Z (two pairs per directed edge of the support),
+// integer-sorts it by rank with the parallel radix sort, prefix-sums the
+// pair values, and reads the per-rank crossing count off the last pair of
+// each rank group. The result and all of its scratch — the sweep order, the
+// rank table, the Z pair array and its prefix sums, the boundary index
+// list, the per-rank crossing counts — are borrowed from res (nil =
+// allocate fresh). Note that Z is volume-sized (two pairs per support
+// edge), so the arena's uint64 slab grows to the sweep's edge volume and
+// stays that size for recycling; results are bit-identical with and
+// without an arena.
 func SweepCutParSortInto(g graph.Graph, vec *sparse.Map, procs int, res *workspace.Result) SweepResult {
 	procs = parallel.ResolveProcs(procs)
 	order := sweepOrder(procs, g, vec, res)
@@ -303,15 +246,7 @@ func SweepCutParSortInto(g graph.Graph, vec *sparse.Map, procs int, res *workspa
 	if N == 0 {
 		return emptySweep()
 	}
-	var rank *sparse.ConcurrentMap
-	if res != nil {
-		rank = res.Hash(procs, N)
-	} else {
-		rank = sparse.NewConcurrent(N)
-	}
-	parallel.For(procs, N, 1024, func(i int) {
-		rank.Set(order[i], float64(i+1))
-	})
+	rank := rankTable(procs, order, res)
 	// Offsets into Z: vertex at rank i contributes 2*d(v) pairs.
 	degs := resUint64s(res, N)
 	parallel.For(procs, N, 0, func(i int) { degs[i] = 2 * uint64(g.Degree(order[i])) })
@@ -407,21 +342,4 @@ func finishSweep(order []uint32, prefix []float64, best int, vol, cut uint64) Sw
 		Order:             order,
 		PrefixConductance: prefix,
 	}
-}
-
-// SortPairsByScore is a convenience for tests and tools: it returns the
-// support of vec sorted by the sweep order along with the normalized
-// scores.
-func SortPairsByScore(g graph.Graph, vec *sparse.Map) ([]uint32, []float64) {
-	order := sweepOrder(1, g, vec, nil)
-	scores := make([]float64, len(order))
-	for i, v := range order {
-		d := g.Degree(v)
-		if d == 0 {
-			scores[i] = math.Inf(1)
-			continue
-		}
-		scores[i] = vec.Get(v) / float64(d)
-	}
-	return order, scores
 }

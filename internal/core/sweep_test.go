@@ -26,9 +26,66 @@ func figure1Vector() *sparse.Map {
 	return vec
 }
 
+// sweepZPair is one (value, rank) pair of the Theorem-1 Z array, using the
+// paper's conventions: ranks are 1-based over the support and N+1 for
+// vertices outside it.
+type sweepZPair struct {
+	Value int // +1, -1, or 0
+	Rank  int
+}
+
+// buildSweepZ constructs the (unsorted) Z array of Theorem 1 for a given
+// sweep order: for each vertex v in rank order and each incident edge
+// (v, w) in adjacency order, two consecutive pairs — (+1, rank v),
+// (-1, rank w) when rank w > rank v (case a), else (0, rank v), (0, rank w)
+// (case b). The §3.1 worked example is this construction on the Figure 1
+// graph, and TestSweepExampleSection31 compares against it verbatim.
+func buildSweepZ(g graph.Graph, order []uint32) []sweepZPair {
+	N := len(order)
+	rank := make(map[uint32]int, N)
+	for i, v := range order {
+		rank[v] = i + 1
+	}
+	var z []sweepZPair
+	var adj []uint32
+	for _, v := range order {
+		rv := rank[v]
+		ns := g.NeighborsInto(adj, v)
+		adj = ns
+		for _, w := range ns {
+			rw, ok := rank[w]
+			if !ok {
+				rw = N + 1
+			}
+			if rw > rv {
+				z = append(z, sweepZPair{Value: 1, Rank: rv}, sweepZPair{Value: -1, Rank: rw})
+			} else {
+				z = append(z, sweepZPair{Value: 0, Rank: rv}, sweepZPair{Value: 0, Rank: rw})
+			}
+		}
+	}
+	return z
+}
+
+// sortPairsByScore returns the support of vec sorted by the sweep order
+// along with the normalized scores.
+func sortPairsByScore(g graph.Graph, vec *sparse.Map) ([]uint32, []float64) {
+	order := sweepOrder(1, g, vec, nil)
+	scores := make([]float64, len(order))
+	for i, v := range order {
+		d := g.Degree(v)
+		if d == 0 {
+			scores[i] = math.Inf(1)
+			continue
+		}
+		scores[i] = vec.Get(v) / float64(d)
+	}
+	return order, scores
+}
+
 func TestSweepOrderFigure1(t *testing.T) {
 	g := gen.Figure1()
-	order, scores := SortPairsByScore(g, figure1Vector())
+	order, scores := sortPairsByScore(g, figure1Vector())
 	if !reflect.DeepEqual(order, []uint32{0, 1, 2, 3}) {
 		t.Fatalf("order = %v, want [0 1 2 3]", order)
 	}
@@ -45,9 +102,9 @@ func TestSweepOrderFigure1(t *testing.T) {
 // per-prefix crossing counts 2, 2, 1, 3.
 func TestSweepExampleSection31(t *testing.T) {
 	g := gen.Figure1()
-	z := BuildSweepZ(g, []uint32{0, 1, 2, 3})
+	z := buildSweepZ(g, []uint32{0, 1, 2, 3})
 	// The paper's Z, row by row (A, B, C, D).
-	want := []SweepZPair{
+	want := []sweepZPair{
 		{1, 1}, {-1, 2}, {1, 1}, {-1, 3},
 		{0, 2}, {0, 1}, {1, 2}, {-1, 3},
 		{0, 3}, {0, 1}, {0, 3}, {0, 2}, {1, 3}, {-1, 4},
@@ -63,7 +120,7 @@ func TestSweepExampleSection31(t *testing.T) {
 	}
 	// Crossing counts via the prefix conductances: phi_i = cut_i / min(vol_i,
 	// 16 - vol_i) with vol = [2, 4, 7, 11] gives cut = [2, 2, 1, 3].
-	res := SweepCutParSort(g, figure1Vector(), 2)
+	res := SweepCutParSortInto(g, figure1Vector(), 2, nil)
 	wantPhi := []float64{1, 0.5, 1.0 / 7.0, 3.0 / 5.0}
 	if len(res.PrefixConductance) != 4 {
 		t.Fatalf("prefix count = %d", len(res.PrefixConductance))
@@ -87,11 +144,11 @@ func TestSweepExampleSection31(t *testing.T) {
 func TestSweepImplementationsAgreeFigure1(t *testing.T) {
 	g := gen.Figure1()
 	vec := figure1Vector()
-	seq := SweepCutSeq(g, vec)
+	seq := SweepCutSeqInto(g, vec, nil)
 	for _, p := range procsUnderTest() {
 		for name, res := range map[string]SweepResult{
-			"par":     SweepCutPar(g, vec, p),
-			"parSort": SweepCutParSort(g, vec, p),
+			"par":     SweepCutParInto(g, vec, p, nil),
+			"parSort": SweepCutParSortInto(g, vec, p, nil),
 		} {
 			if !reflect.DeepEqual(res.Cluster, seq.Cluster) {
 				t.Fatalf("p=%d %s: cluster %v vs seq %v", p, name, res.Cluster, seq.Cluster)
@@ -132,10 +189,10 @@ func TestSweepImplementationsAgreeRandom(t *testing.T) {
 			if vec.Len() == 0 {
 				continue
 			}
-			seq := SweepCutSeq(g, vec)
+			seq := SweepCutSeqInto(g, vec, nil)
 			for _, p := range procsUnderTest() {
-				par := SweepCutPar(g, vec, p)
-				srt := SweepCutParSort(g, vec, p)
+				par := SweepCutParInto(g, vec, p, nil)
+				srt := SweepCutParSortInto(g, vec, p, nil)
 				if !reflect.DeepEqual(par.Cluster, seq.Cluster) || par.Conductance != seq.Conductance {
 					t.Fatalf("%s trial %d p=%d: par disagrees with seq (%v/%v vs %v/%v)",
 						name, trial, p, par.Cluster, par.Conductance, seq.Cluster, seq.Conductance)
@@ -160,7 +217,7 @@ func TestSweepEmptyVector(t *testing.T) {
 	g := gen.Figure1()
 	vec := sparse.NewMap(0)
 	for _, res := range []SweepResult{
-		SweepCutSeq(g, vec), SweepCutPar(g, vec, 2), SweepCutParSort(g, vec, 2),
+		SweepCutSeqInto(g, vec, nil), SweepCutParInto(g, vec, 2, nil), SweepCutParSortInto(g, vec, 2, nil),
 	} {
 		if len(res.Cluster) != 0 || res.Conductance != 1 {
 			t.Fatalf("empty vector sweep: %+v", res)
@@ -174,7 +231,7 @@ func TestSweepIgnoresNonPositive(t *testing.T) {
 	vec.Set(0, 1)
 	vec.Set(1, 0)  // explicit zero: not part of the support
 	vec.Set(2, -1) // negative: not part of the support
-	res := SweepCutSeq(g, vec)
+	res := SweepCutSeqInto(g, vec, nil)
 	if len(res.Order) != 1 || res.Order[0] != 0 {
 		t.Fatalf("support = %v, want [0]", res.Order)
 	}
@@ -185,7 +242,7 @@ func TestSweepSingleVertex(t *testing.T) {
 	vec := sparse.NewMap(1)
 	vec.Set(3, 1) // D alone: cut 4, vol 4 -> phi = 1
 	for _, res := range []SweepResult{
-		SweepCutSeq(g, vec), SweepCutPar(g, vec, 2), SweepCutParSort(g, vec, 2),
+		SweepCutSeqInto(g, vec, nil), SweepCutParInto(g, vec, 2, nil), SweepCutParSortInto(g, vec, 2, nil),
 	} {
 		if len(res.Cluster) != 1 || res.Cluster[0] != 3 {
 			t.Fatalf("cluster = %v", res.Cluster)
@@ -204,7 +261,7 @@ func TestSweepZeroDegreeVertexInSupport(t *testing.T) {
 	vec.Set(0, 3)
 	vec.Set(1, 3)
 	vec.Set(2, 3)
-	seq := SweepCutSeq(g, vec)
+	seq := SweepCutSeqInto(g, vec, nil)
 	if seq.Order[0] != 5 {
 		t.Fatalf("isolated vertex should sort first, order = %v", seq.Order)
 	}
@@ -214,8 +271,8 @@ func TestSweepZeroDegreeVertexInSupport(t *testing.T) {
 		t.Fatalf("conductance = %v", seq.Conductance)
 	}
 	for _, p := range procsUnderTest() {
-		par := SweepCutPar(g, vec, p)
-		srt := SweepCutParSort(g, vec, p)
+		par := SweepCutParInto(g, vec, p, nil)
+		srt := SweepCutParSortInto(g, vec, p, nil)
 		if !reflect.DeepEqual(par.Cluster, seq.Cluster) || !reflect.DeepEqual(srt.Cluster, seq.Cluster) {
 			t.Fatalf("p=%d: disagreement with zero-degree support", p)
 		}
@@ -230,17 +287,17 @@ func TestSweepTieBreakDeterminism(t *testing.T) {
 	for v := uint32(0); v < 32; v++ {
 		vec.Set(v, 1)
 	}
-	want := SweepCutSeq(g, vec).Order
+	want := SweepCutSeqInto(g, vec, nil).Order
 	for i, v := range want {
 		if v != uint32(i) {
 			t.Fatalf("seq tie-break order wrong: %v", want)
 		}
 	}
 	for _, p := range procsUnderTest() {
-		if got := SweepCutPar(g, vec, p).Order; !reflect.DeepEqual(got, want) {
+		if got := SweepCutParInto(g, vec, p, nil).Order; !reflect.DeepEqual(got, want) {
 			t.Fatalf("p=%d: par order %v", p, got)
 		}
-		if got := SweepCutParSort(g, vec, p).Order; !reflect.DeepEqual(got, want) {
+		if got := SweepCutParSortInto(g, vec, p, nil).Order; !reflect.DeepEqual(got, want) {
 			t.Fatalf("p=%d: parSort order %v", p, got)
 		}
 	}
@@ -258,7 +315,7 @@ func TestSweepFindsPlantedBarbellCut(t *testing.T) {
 		}
 		vec.Set(uint32(v), mass)
 	}
-	res := SweepCutSeq(g, vec)
+	res := SweepCutSeqInto(g, vec, nil)
 	if len(res.Cluster) != k {
 		t.Fatalf("cluster size = %d, want %d", len(res.Cluster), k)
 	}
@@ -291,9 +348,9 @@ func TestSweepPooledMatchesUnpooled(t *testing.T) {
 			pooled   func() SweepResult
 		}
 		variants := []variant{
-			{"seq", SweepCutSeq(g, vec), func() SweepResult { return SweepCutSeqInto(g, vec, arena) }},
-			{"par", SweepCutPar(g, vec, 2), func() SweepResult { return SweepCutParInto(g, vec, 2, arena) }},
-			{"parSort", SweepCutParSort(g, vec, 2), func() SweepResult { return SweepCutParSortInto(g, vec, 2, arena) }},
+			{"seq", SweepCutSeqInto(g, vec, nil), func() SweepResult { return SweepCutSeqInto(g, vec, arena) }},
+			{"par", SweepCutParInto(g, vec, 2, nil), func() SweepResult { return SweepCutParInto(g, vec, 2, arena) }},
+			{"parSort", SweepCutParSortInto(g, vec, 2, nil), func() SweepResult { return SweepCutParSortInto(g, vec, 2, arena) }},
 		}
 		for _, v := range variants {
 			arena.Reset()

@@ -96,12 +96,6 @@ type VertexSubset struct {
 	count int      // Size() when ids == nil
 }
 
-// FromVertices builds a subset from explicit vertex IDs. The caller asserts
-// the IDs are distinct.
-func FromVertices(vs ...uint32) VertexSubset {
-	return VertexSubset{ids: vs}
-}
-
 // FromIDs wraps an existing distinct-ID slice without copying.
 func FromIDs(ids []uint32) VertexSubset { return VertexSubset{ids: ids} }
 
@@ -160,7 +154,7 @@ func (s VertexSubset) ToSparse(p int) VertexSubset {
 	if s.ids != nil || s.bits == nil {
 		return s
 	}
-	idx := parallel.FilterIndex(p, s.n, func(i int) bool {
+	idx := parallel.FilterIndexInto(p, s.n, nil, func(i int) bool {
 		return s.bits[i>>6]&(1<<(uint(i)&63)) != 0
 	})
 	ids := make([]uint32, len(idx))
@@ -292,24 +286,19 @@ func VertexMap(p int, s VertexSubset, fn func(v uint32)) {
 }
 
 // VertexMapIndexed is VertexMap with the vertex's position in the subset
-// passed to fn, pairing with EdgeMapIndexed for per-source state arrays.
+// passed to fn, pairing with EdgeApplyIndexedScratch for per-source state
+// arrays.
 func VertexMapIndexed(p int, s VertexSubset, fn func(i int, v uint32)) {
 	s = s.ToSparse(p)
 	parallel.For(p, len(s.ids), 512, func(i int) { fn(i, s.ids[i]) })
 }
 
-// VertexFilter returns the sub-subset for which pred holds, preserving
+// VertexFilterInto returns the sub-subset for which pred holds, preserving
 // order (Ligra's vertexFilter). pred must be pure or safe under concurrency.
-func VertexFilter(p int, s VertexSubset, pred func(v uint32) bool) VertexSubset {
-	s = s.ToSparse(p)
-	return VertexSubset{ids: parallel.Filter(p, s.ids, pred)}
-}
-
-// VertexFilterInto is VertexFilter writing the kept IDs into buf's storage
-// when its capacity suffices (see parallel.FilterInto). buf must not
-// overlap s's ID storage; the diffusion engine satisfies this by filtering
-// an accumulator's touched-key list into a separate recycled frontier
-// buffer.
+// The kept IDs are written into buf's storage when its capacity suffices
+// (nil allocates fresh; see parallel.FilterInto). buf must not overlap s's
+// ID storage; the diffusion engine satisfies this by filtering an
+// accumulator's touched-key list into a separate recycled frontier buffer.
 func VertexFilterInto(p int, s VertexSubset, buf []uint32, pred func(v uint32) bool) VertexSubset {
 	s = s.ToSparse(p)
 	return VertexSubset{ids: parallel.FilterInto(p, s.ids, buf, pred)}
@@ -318,29 +307,21 @@ func VertexFilterInto(p int, s VertexSubset, buf []uint32, pred func(v uint32) b
 // edgeMapGrain is the number of edges per EdgeMap work chunk.
 const edgeMapGrain = 2048
 
-// EdgeMap applies update(u, v) to every edge (u, v) with u in the subset
-// (Ligra's edgeMap), in parallel over edge-balanced chunks, and returns the
-// subset of targets v for which update returned true. This entry point
-// always uses the sparse traversal; EdgeMapMode adds the dense path and the
-// automatic switch.
+// EdgeMapMode applies update(u, v) to every edge (u, v) with u in the
+// subset (Ligra's edgeMap), in parallel over edge-balanced chunks, and
+// returns the subset of targets v for which update returned true. Auto
+// applies the Ligra direction heuristic (dense when |F| + vol(F) >
+// (n + 2m)/k), and the Force modes pin a strategy.
 //
 // update must be thread-safe: multiple frontier vertices may push to the
 // same target concurrently (the paper resolves this with fetch-and-add).
-// The returned subset contains each target at most as many times as update
-// returned true for it; the idiomatic way to get an exactly-deduplicated
-// output — used by all the clustering algorithms here — is to return the
-// "created" flag of a sparse-set Add, which is true exactly once per target.
-// Work is O(|subset| + vol(subset)) and depth is polylogarithmic, matching
-// Ligra's bounds.
-func EdgeMap(p int, g graph.Graph, s VertexSubset, update func(src, dst uint32) bool) VertexSubset {
-	return EdgeMapIndexed(p, g, s, func(_ int, src, dst uint32) bool { return update(src, dst) })
-}
-
-// EdgeMapMode is EdgeMap with an explicit traversal mode: Auto applies the
-// Ligra direction heuristic (dense when |F| + vol(F) > (n + 2m)/k), and the
-// Force modes pin a strategy. The dense path returns a bitmap-representation
-// subset (each qualifying target set exactly once); the sparse path returns
-// an ID-list subset with EdgeMap's usual multiplicity contract.
+// The dense path returns a bitmap-representation subset (each qualifying
+// target set exactly once). The sparse path returns an ID-list subset
+// containing each target at most as many times as update returned true
+// for it; the idiomatic way to get an exactly-deduplicated output is to
+// return the "created" flag of a sparse-set Add, which is true exactly
+// once per target. Sparse work is O(|subset| + vol(subset)) and depth is
+// polylogarithmic, matching Ligra's bounds.
 func EdgeMapMode(p int, g graph.Graph, s VertexSubset, mode Mode, update func(src, dst uint32) bool) VertexSubset {
 	dense := mode == ForceDense
 	if mode == Auto {
@@ -348,7 +329,7 @@ func EdgeMapMode(p int, g graph.Graph, s VertexSubset, mode Mode, update func(sr
 		dense = OverDenseThreshold(g, s.Size(), s.Volume(p, g))
 	}
 	if !dense {
-		return EdgeMap(p, g, s.ToSparse(p), update)
+		return edgeMapSparse(p, g, s, update)
 	}
 	sb := s.WithBitmap(p, g.NumVertices(), nil)
 	out := make([]uint64, (g.NumVertices()+63)/64)
@@ -360,13 +341,10 @@ func EdgeMapMode(p int, g graph.Graph, s VertexSubset, mode Mode, update func(sr
 	return FromBitmap(out, g.NumVertices(), popcount(p, out))
 }
 
-// EdgeMapIndexed is EdgeMap with the source's position in the subset passed
-// to the update function. The diffusion algorithms use the index to read
-// per-source state (the pushed share, precomputed once per frontier vertex
-// in a dense array) instead of paying a sparse-table lookup on every edge —
-// the same source-value hoisting the paper's Ligra implementation gets for
-// free from its dense vertex arrays.
-func EdgeMapIndexed(p int, g graph.Graph, s VertexSubset, update func(srcIdx int, src, dst uint32) bool) VertexSubset {
+// edgeMapSparse is EdgeMapMode's sparse traversal: the frontier's incident
+// edges are partitioned into equal-size chunks via a prefix sum over
+// degrees, and each chunk collects the targets its updates accept.
+func edgeMapSparse(p int, g graph.Graph, s VertexSubset, update func(src, dst uint32) bool) VertexSubset {
 	s = s.ToSparse(p)
 	nf := len(s.ids)
 	if nf == 0 {
@@ -394,7 +372,7 @@ func EdgeMapIndexed(p int, g graph.Graph, s VertexSubset, update func(srcIdx int
 			ns, start := g.NeighborsTail(buf, v, j)
 			buf = ns
 			for k := j - start; k < len(ns) && e < ehi; k++ {
-				if update(i, v, ns[k]) {
+				if update(v, ns[k]) {
 					out = append(out, ns[k])
 				}
 				e++
@@ -406,19 +384,19 @@ func EdgeMapIndexed(p int, g graph.Graph, s VertexSubset, update func(srcIdx int
 	return VertexSubset{ids: parallel.Concat(p, outs)}
 }
 
-// EdgeApplyIndexed applies fn to every edge (u, v) with u in the sparse
-// subset, edge-balanced like EdgeMapIndexed, but collects no output
+// EdgeApplyIndexedScratch applies fn to every edge (u, v) with u in the
+// sparse subset, edge-balanced like EdgeMapMode's sparse traversal, with
+// the source's position in the subset passed to fn, but collects no output
 // frontier. The diffusion engine uses it when the next frontier is derived
-// from an accumulator's touched-key set instead of EdgeMap's return value,
-// saving the per-chunk output allocation and concat.
-func EdgeApplyIndexed(p int, g graph.Graph, s VertexSubset, fn func(srcIdx int, src, dst uint32)) {
-	EdgeApplyIndexedScratch(p, g, s, nil, nil, fn)
-}
-
-// EdgeApplyIndexedScratch is EdgeApplyIndexed with caller-provided
-// prefix-sum scratch: degs and offs must each be nil (allocate fresh) or
-// have length >= s.Size(). The pooled sweep cut passes result-arena slices
-// here so a serving query's edge pass allocates nothing support-sized.
+// from an accumulator's touched-key set instead of an output subset, and
+// uses the index to read per-source state (the pushed share, precomputed
+// once per frontier vertex in a dense array) instead of paying a
+// sparse-table lookup on every edge — the same source-value hoisting the
+// paper's Ligra implementation gets for free from its dense vertex arrays.
+// degs and offs are prefix-sum scratch and must each be nil (allocate
+// fresh) or have length >= s.Size(); the pooled sweep cut passes
+// result-arena slices here so a serving query's edge pass allocates
+// nothing support-sized.
 func EdgeApplyIndexedScratch(p int, g graph.Graph, s VertexSubset, degs, offs []uint64, fn func(srcIdx int, src, dst uint32)) {
 	s = s.ToSparse(p)
 	nf := len(s.ids)

@@ -19,9 +19,9 @@ func TestVertexSubsetBasics(t *testing.T) {
 	if !empty.IsEmpty() || empty.Size() != 0 {
 		t.Fatal("zero value should be empty")
 	}
-	s := FromVertices(3, 1, 4)
+	s := FromIDs([]uint32{3, 1, 4})
 	if s.Size() != 3 || s.IsEmpty() {
-		t.Fatal("FromVertices size")
+		t.Fatal("FromIDs size")
 	}
 	if got := s.IDs(); len(got) != 3 || got[0] != 3 {
 		t.Fatal("IDs mismatch")
@@ -30,7 +30,7 @@ func TestVertexSubsetBasics(t *testing.T) {
 
 func TestVolume(t *testing.T) {
 	g := gen.Figure1()
-	s := FromVertices(0, 1, 2, 3) // degrees 2, 2, 3, 4
+	s := FromIDs([]uint32{0, 1, 2, 3}) // degrees 2, 2, 3, 4
 	for _, p := range procsUnderTest() {
 		if vol := s.Volume(p, g); vol != 11 {
 			t.Fatalf("p=%d: Volume = %d, want 11", p, vol)
@@ -78,7 +78,7 @@ func TestVertexFilter(t *testing.T) {
 		ids[i] = uint32(i)
 	}
 	for _, p := range procsUnderTest() {
-		out := VertexFilter(p, FromIDs(ids), func(v uint32) bool { return v%5 == 0 })
+		out := VertexFilterInto(p, FromIDs(ids), nil, func(v uint32) bool { return v%5 == 0 })
 		if out.Size() != 200 {
 			t.Fatalf("p=%d: filtered size = %d", p, out.Size())
 		}
@@ -96,7 +96,7 @@ func TestEdgeMapVisitsFrontierEdgesExactly(t *testing.T) {
 	for _, p := range procsUnderTest() {
 		var mu sync.Mutex
 		visited := map[[2]uint32]int{}
-		EdgeMap(p, g, FromVertices(2, 3), func(s, d uint32) bool {
+		EdgeMapMode(p, g, FromIDs([]uint32{2, 3}), ForceSparse, func(s, d uint32) bool {
 			mu.Lock()
 			visited[[2]uint32{s, d}]++
 			mu.Unlock()
@@ -117,7 +117,7 @@ func TestEdgeMapVisitsFrontierEdgesExactly(t *testing.T) {
 func TestEdgeMapReturnsTrueTargets(t *testing.T) {
 	g := gen.Figure1()
 	for _, p := range procsUnderTest() {
-		out := EdgeMap(p, g, FromVertices(3), func(s, d uint32) bool { return d >= 4 })
+		out := EdgeMapMode(p, g, FromIDs([]uint32{3}), ForceSparse, func(s, d uint32) bool { return d >= 4 })
 		got := append([]uint32(nil), out.IDs()...)
 		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 		want := []uint32{4, 5, 6}
@@ -129,7 +129,7 @@ func TestEdgeMapReturnsTrueTargets(t *testing.T) {
 
 func TestEdgeMapEmptyFrontier(t *testing.T) {
 	g := gen.Figure1()
-	out := EdgeMap(4, g, VertexSubset{}, func(s, d uint32) bool { return true })
+	out := EdgeMapMode(4, g, VertexSubset{}, ForceSparse, func(s, d uint32) bool { return true })
 	if !out.IsEmpty() {
 		t.Fatal("empty frontier produced output")
 	}
@@ -139,12 +139,12 @@ func TestEdgeMapZeroDegreeFrontier(t *testing.T) {
 	// Vertices 2..4 are isolated; a frontier of isolated vertices has no
 	// incident edges and must produce an empty output.
 	gi := graph.FromEdges(1, 5, []graph.Edge{{U: 0, V: 1}})
-	out := EdgeMap(4, gi, FromVertices(3), func(s, d uint32) bool { return true })
+	out := EdgeMapMode(4, gi, FromIDs([]uint32{3}), ForceSparse, func(s, d uint32) bool { return true })
 	if !out.IsEmpty() {
 		t.Fatal("isolated frontier produced output")
 	}
 	// Mixed frontier: only the non-isolated vertex contributes.
-	out = EdgeMap(4, gi, FromVertices(2, 0, 4), func(s, d uint32) bool { return true })
+	out = EdgeMapMode(4, gi, FromIDs([]uint32{2, 0, 4}), ForceSparse, func(s, d uint32) bool { return true })
 	if out.Size() != 1 || out.IDs()[0] != 1 {
 		t.Fatalf("mixed frontier output = %v", out.IDs())
 	}
@@ -161,7 +161,7 @@ func TestEdgeMapDedupViaSparseCreated(t *testing.T) {
 	}
 	for _, p := range procsUnderTest() {
 		table := sparse.NewConcurrent(64)
-		out := EdgeMap(p, g, FromIDs(ids), func(s, d uint32) bool {
+		out := EdgeMapMode(p, g, FromIDs(ids), ForceSparse, func(s, d uint32) bool {
 			return table.Add(d, 1)
 		})
 		got := append([]uint32(nil), out.IDs()...)
@@ -191,7 +191,7 @@ func TestEdgeMapEdgeBalancedOnSkewedDegrees(t *testing.T) {
 	g := gen.Star(leaves + 1)
 	for _, p := range procsUnderTest() {
 		var count atomic.Int64
-		out := EdgeMap(p, g, FromVertices(0), func(s, d uint32) bool {
+		out := EdgeMapMode(p, g, FromIDs([]uint32{0}), ForceSparse, func(s, d uint32) bool {
 			count.Add(1)
 			return true
 		})
@@ -285,7 +285,7 @@ func TestEdgeApplyDenseMatchesSparse(t *testing.T) {
 		frontier := FromIDs(ids)
 		for _, p := range procsUnderTest() {
 			wantCounts := make([]int64, n)
-			EdgeApplyIndexed(p, g, frontier, func(_ int, _, dst uint32) {
+			EdgeApplyIndexedScratch(p, g, frontier, nil, nil, func(_ int, _, dst uint32) {
 				atomic.AddInt64(&wantCounts[dst], 1)
 			})
 			gotCounts := make([]int64, n)

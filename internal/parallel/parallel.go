@@ -286,18 +286,12 @@ func ScanExclusive[T Number](p int, x, out []T) T {
 	return total
 }
 
-// Filter returns the elements of x satisfying pred, preserving their order
-// (the paper's filter primitive). The result is freshly allocated.
-func Filter[T any](p int, x []T, pred func(T) bool) []T {
-	return FilterInto(p, x, nil, pred)
-}
-
-// FilterInto is Filter writing into buf's storage when its capacity
-// suffices (buf's length is ignored), allocating only otherwise. The
-// returned slice holds the kept elements in order; it aliases buf on the
-// reuse path, so buf must not overlap x. Callers with a recycled buffer
-// (the diffusion engine's frontier ID buffer) use it to keep steady-state
-// filters allocation-free.
+// FilterInto returns the elements of x satisfying pred, preserving their
+// order (the paper's filter primitive). The output is written into buf's
+// storage when its capacity suffices (buf's length is ignored; nil allocates
+// fresh). The returned slice aliases buf on the reuse path, so buf must not
+// overlap x. Callers with a recycled buffer (the diffusion engine's frontier
+// ID buffer) use it to keep steady-state filters allocation-free.
 func FilterInto[T any](p int, x, buf []T, pred func(T) bool) []T {
 	n := len(x)
 	p = ResolveProcs(p)
@@ -348,15 +342,11 @@ func FilterInto[T any](p int, x, buf []T, pred func(T) bool) []T {
 	return out
 }
 
-// FilterIndex returns the indices i (in increasing order) with pred(i) true.
-func FilterIndex(p, n int, pred func(i int) bool) []int {
-	return FilterIndexInto(p, n, nil, pred)
-}
-
-// FilterIndexInto is FilterIndex writing its output into buf when it has
-// the capacity (allocating only when it does not); the returned slice may
-// alias buf. It is the allocation-free path for callers that recycle their
-// index buffers across runs (the pooled sort-based sweep).
+// FilterIndexInto returns the indices i in [0, n) (in increasing order) with
+// pred(i) true, writing them into buf when it has the capacity (nil or a
+// smaller buf allocates); the returned slice may alias buf. It is the
+// allocation-free path for callers that recycle their index buffers across
+// runs (the pooled sort-based sweep).
 func FilterIndexInto(p, n int, buf []int, pred func(i int) bool) []int {
 	p = ResolveProcs(p)
 	if p == 1 || n < 2*DefaultGrain {

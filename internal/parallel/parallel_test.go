@@ -183,7 +183,7 @@ func TestFilter(t *testing.T) {
 			}
 		}
 		for _, p := range procsUnderTest() {
-			got := Filter(p, x, pred)
+			got := FilterInto(p, x, nil, pred)
 			if len(got) != len(want) {
 				t.Fatalf("p=%d n=%d: len=%d want %d", p, n, len(got), len(want))
 			}
@@ -198,7 +198,7 @@ func TestFilter(t *testing.T) {
 
 func TestFilterIndex(t *testing.T) {
 	for _, p := range procsUnderTest() {
-		got := FilterIndex(p, 100000, func(i int) bool { return i%7 == 0 })
+		got := FilterIndexInto(p, 100000, nil, func(i int) bool { return i%7 == 0 })
 		for k, i := range got {
 			if i != 7*k {
 				t.Fatalf("p=%d: got[%d]=%d want %d", p, k, i, 7*k)
@@ -255,7 +255,7 @@ func TestSortRandom(t *testing.T) {
 		for _, p := range procsUnderTest() {
 			x := make([]int, n)
 			copy(x, orig)
-			Sort(p, x, func(a, b int) bool { return a < b })
+			SortScratch(p, x, nil, func(a, b int) bool { return a < b })
 			for i := 1; i < n; i++ {
 				if x[i-1] > x[i] {
 					t.Fatalf("p=%d n=%d: not sorted at %d", p, n, i)
@@ -264,7 +264,7 @@ func TestSortRandom(t *testing.T) {
 			// Same multiset: compare against sequentially sorted copy.
 			ref := make([]int, n)
 			copy(ref, orig)
-			Sort(1, ref, func(a, b int) bool { return a < b })
+			SortScratch(1, ref, nil, func(a, b int) bool { return a < b })
 			if !reflect.DeepEqual(x, ref) {
 				t.Fatalf("p=%d n=%d: multiset changed", p, n)
 			}
@@ -274,7 +274,7 @@ func TestSortRandom(t *testing.T) {
 
 func TestSortDescendingComparator(t *testing.T) {
 	x := []float64{1, 5, 3, 2, 4}
-	Sort(4, x, func(a, b float64) bool { return a > b })
+	SortScratch(4, x, nil, func(a, b float64) bool { return a > b })
 	want := []float64{5, 4, 3, 2, 1}
 	if !reflect.DeepEqual(x, want) {
 		t.Fatalf("got %v", x)
@@ -285,7 +285,7 @@ func TestSortPropertyQuick(t *testing.T) {
 	f := func(x []uint16) bool {
 		y := make([]uint16, len(x))
 		copy(y, x)
-		Sort(3, y, func(a, b uint16) bool { return a < b })
+		SortScratch(3, y, nil, func(a, b uint16) bool { return a < b })
 		for i := 1; i < len(y); i++ {
 			if y[i-1] > y[i] {
 				return false
@@ -324,7 +324,7 @@ func TestRadixSortUint64(t *testing.T) {
 			for _, p := range procsUnderTest() {
 				x := make([]uint64, n)
 				copy(x, orig)
-				RadixSortUint64(p, x, bits)
+				RadixSortUint64Scratch(p, x, nil, bits)
 				for i := 1; i < n; i++ {
 					if x[i-1]&mask > x[i]&mask {
 						t.Fatalf("p=%d n=%d bits=%d: not sorted at %d", p, n, bits, i)
@@ -400,7 +400,7 @@ func BenchmarkSortParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(x, orig)
-		Sort(0, x, func(a, b uint32) bool { return a < b })
+		SortScratch(0, x, nil, func(a, b uint32) bool { return a < b })
 	}
 }
 
@@ -414,7 +414,7 @@ func BenchmarkRadixSortParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(x, orig)
-		RadixSortUint64(0, x, 32)
+		RadixSortUint64Scratch(0, x, nil, 32)
 	}
 }
 
@@ -426,7 +426,7 @@ func TestFilterInto(t *testing.T) {
 			x[i] = r.Intn(1000)
 		}
 		pred := func(v int) bool { return v%3 == 0 }
-		want := Filter(1, x, pred)
+		want := FilterInto(1, x, nil, pred)
 		for _, p := range procsUnderTest() {
 			// A buffer with enough capacity must be reused in place...
 			buf := make([]int, 0, n+1)
@@ -472,7 +472,7 @@ func TestSortScratchReusesBuffer(t *testing.T) {
 		SortScratch(8, x, scratch, func(a, b int) bool { return a < b })
 		ref := make([]int, n)
 		copy(ref, orig)
-		Sort(1, ref, func(a, b int) bool { return a < b })
+		SortScratch(1, ref, nil, func(a, b int) bool { return a < b })
 		if !reflect.DeepEqual(x, ref) {
 			t.Fatalf("round %d: scratch-backed sort diverged", round)
 		}

@@ -12,15 +12,6 @@ const sortSeqCutoff = 1 << 13
 // mergeSeqCutoff is the size below which a merge runs sequentially.
 const mergeSeqCutoff = 1 << 14
 
-// Sort sorts x with less using a parallel merge sort: the input is split
-// into runs sorted independently, then merged pairwise with parallel
-// merges (each merge splits at the median of the larger run via binary
-// search). O(n log n) work and O(log^2 n) depth, matching the comparison
-// sort bound the paper cites. The sort is not stable.
-func Sort[T any](p int, x []T, less func(a, b T) bool) {
-	SortScratch(p, x, nil, less)
-}
-
 // SortScratchLen returns the scratch length SortScratch needs for an input
 // of length n with p workers: n when the parallel merge path runs, 0 when
 // the call falls back to the sequential sort and allocates nothing. Callers
@@ -32,11 +23,17 @@ func SortScratchLen(p, n int) int {
 	return n
 }
 
-// SortScratch is Sort using scratch as the merge buffer when it is at least
-// len(x) long (allocating one otherwise) — the allocation-free path for
-// callers that recycle sort scratch across runs, mirroring
-// RadixSortUint64Scratch. scratch's contents are clobbered; it must not
-// alias x. The sequential fallback (see SortScratchLen) never touches it.
+// SortScratch sorts x with less using a parallel merge sort: the input is
+// split into runs sorted independently, then merged pairwise with parallel
+// merges (each merge splits at the median of the larger run via binary
+// search). O(n log n) work and O(log^2 n) depth, matching the comparison
+// sort bound the paper cites. The sort is not stable.
+//
+// scratch is the merge buffer when it is at least len(x) long (nil or a
+// shorter slice allocates one) — callers that recycle sort scratch across
+// runs get an allocation-free sort, mirroring RadixSortUint64Scratch.
+// scratch's contents are clobbered; it must not alias x. The sequential
+// fallback (see SortScratchLen) never touches it.
 func SortScratch[T any](p int, x, scratch []T, less func(a, b T) bool) {
 	p = ResolveProcs(p)
 	n := len(x)
@@ -160,20 +157,17 @@ const radixBits = 8
 
 const radixBuckets = 1 << radixBits
 
-// RadixSortUint64 stably sorts x by its low keyBits bits using a parallel
-// least-significant-digit radix sort (per-block histograms, a prefix sum
-// over (digit, block), and a stable scatter). This is the paper's parallel
-// integer sort [39]: O(n) work per pass and O(keyBits/8) passes. Callers
-// typically pack a payload into the bits above keyBits, which the stable
-// sort carries along untouched.
-func RadixSortUint64(p int, x []uint64, keyBits int) {
-	RadixSortUint64Scratch(p, x, nil, keyBits)
-}
-
-// RadixSortUint64Scratch is RadixSortUint64 using scratch as the sort's
-// double buffer when it is at least len(x) long (allocating one otherwise)
-// — the allocation-free path for callers that recycle sort scratch across
-// runs. scratch's contents are clobbered.
+// RadixSortUint64Scratch stably sorts x by its low keyBits bits using a
+// parallel least-significant-digit radix sort (per-block histograms, a
+// prefix sum over (digit, block), and a stable scatter). This is the
+// paper's parallel integer sort [39]: O(n) work per pass and O(keyBits/8)
+// passes. Callers typically pack a payload into the bits above keyBits,
+// which the stable sort carries along untouched.
+//
+// scratch is the sort's double buffer when it is at least len(x) long (nil
+// or a shorter slice allocates one) — callers that recycle sort scratch
+// across runs get an allocation-free sort. scratch's contents are
+// clobbered.
 func RadixSortUint64Scratch(p int, x, scratch []uint64, keyBits int) {
 	n := len(x)
 	if n <= 1 {
@@ -279,14 +273,11 @@ func RadixSortUint32(p int, x []uint32, maxVal uint32) {
 	}
 	bits := 32
 	if maxVal > 0 {
-		bits = 0
-		for v := maxVal; v > 0; v >>= 1 {
-			bits++
-		}
+		bits = KeyBitsFor(uint64(maxVal))
 	}
 	wide := make([]uint64, n)
 	For(p, n, 0, func(i int) { wide[i] = uint64(x[i]) })
-	RadixSortUint64(p, wide, bits)
+	RadixSortUint64Scratch(p, wide, nil, bits)
 	For(p, n, 0, func(i int) { x[i] = uint32(wide[i]) })
 }
 

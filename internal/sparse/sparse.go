@@ -384,7 +384,7 @@ func (m *ConcurrentMap) ForEach(fn func(k uint32, v float64)) {
 // concurrently with writers. Work is proportional to the table capacity,
 // which is proportional to the entry bound it was sized with.
 func (m *ConcurrentMap) Keys(p int) []uint32 {
-	return parallel.Filter(p, m.keys, func(k uint32) bool { return k != emptyKey })
+	return parallel.FilterInto(p, m.keys, nil, func(k uint32) bool { return k != emptyKey })
 }
 
 // Sum returns the sum of all values using p workers. Must not run

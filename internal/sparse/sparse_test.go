@@ -483,7 +483,7 @@ func TestPromoteToDense(t *testing.T) {
 	cm := NewConcurrent(16)
 	cm.Add(1, 0.5)
 	cm.Add(300, 1.5)
-	d := PromoteToDense(1000, cm)
+	d := PromoteToDenseInto(NewDense(1000), cm)
 	if d.Len() != 2 || d.Get(1) != 0.5 || d.Get(300) != 1.5 {
 		t.Fatalf("promotion lost entries: len=%d", d.Len())
 	}

@@ -4,7 +4,7 @@ package workspace
 // Workspace for *result-sized* state. A Workspace recycles the graph-sized
 // scratch a diffusion needs while it runs and is released the moment the run
 // finishes; a Result recycles the support-sized state a finished query still
-// needs while its answer is consumed — the vecFromTable snapshot map, the
+// needs while its answer is consumed — the vecFromTableInto snapshot map, the
 // sweep order and prefix-conductance arrays, and the cluster member list the
 // HTTP layer streams to the client. Its lifetime therefore extends past the
 // kernel, through the service engine, to the response writer: whoever

@@ -3,6 +3,8 @@ package parcluster
 import (
 	"math"
 	"testing"
+
+	"parcluster/internal/core"
 )
 
 func TestNibbleOptionDefaults(t *testing.T) {
@@ -16,13 +18,24 @@ func TestNibbleOptionDefaults(t *testing.T) {
 func TestPRNibbleOptionDefaults(t *testing.T) {
 	o := PRNibbleOptions{}
 	o.defaults()
-	if o.Alpha != 0.01 || o.Epsilon != 1e-7 || o.Rule != OptimizedRule {
+	if o.Alpha != 0.01 || o.Epsilon != 1e-7 {
 		t.Fatalf("PRNibble defaults = %+v", o)
 	}
-	o = PRNibbleOptions{UseOriginalRule: true}
-	o.defaults()
-	if o.Rule != OriginalRule {
-		t.Fatal("UseOriginalRule not honored")
+	// The push rule follows UseOriginalRule alone: each setting must run
+	// exactly core's entry under the matching rule, counter for counter.
+	g := MustGenerate("caveman", map[string]int{"cliques": 6, "k": 8})
+	seeds := []uint32{0}
+	var perRule [2]Stats
+	for i, rule := range []PushRule{OriginalRule, OptimizedRule} {
+		_, got := PRNibble(g, seeds, PRNibbleOptions{Alpha: 0.05, Epsilon: 1e-5, UseOriginalRule: rule == OriginalRule})
+		_, want := core.PRNibbleRun(g, seeds, 0.05, 1e-5, rule, 1, core.RunConfig{})
+		if got != want {
+			t.Fatalf("rule %v: PRNibble stats %v, core.PRNibbleRun %v", rule, got, want)
+		}
+		perRule[i] = got
+	}
+	if perRule[0] == perRule[1] {
+		t.Fatal("the two rules did the same work; the comparison cannot tell them apart")
 	}
 }
 
@@ -44,29 +57,32 @@ func TestRandHKPROptionDefaults(t *testing.T) {
 
 func TestRandHKPRVariantsBitIdentical(t *testing.T) {
 	// The public API exposes all three rand-HK-PR implementations; they
-	// must return bit-identical vectors for the same Seed.
+	// must return bit-identical vectors for the same Seed, from a single
+	// seed and from a seed set alike.
 	g := MustGenerate("caveman", map[string]int{"cliques": 6, "k": 8})
 	base := RandHKPROptions{Walks: 3000, Seed: 5}
 	seqOpt := base
 	seqOpt.Sequential = true
 	conOpt := base
 	conOpt.Contended = true
-	vPar, _ := RandHKPR(g, 0, base)
-	vSeq, _ := RandHKPR(g, 0, seqOpt)
-	vCon, _ := RandHKPR(g, 0, conOpt)
-	if vPar.Len() != vSeq.Len() || vPar.Len() != vCon.Len() {
-		t.Fatalf("support sizes differ: %d %d %d", vPar.Len(), vSeq.Len(), vCon.Len())
-	}
-	vPar.ForEach(func(k uint32, v float64) {
-		if vSeq.Get(k) != v || vCon.Get(k) != v {
-			t.Fatalf("variant mismatch at %d: %v / %v / %v", k, v, vSeq.Get(k), vCon.Get(k))
+	for _, seeds := range [][]uint32{{0}, {0, 9, 17, 40}} {
+		vPar, _ := RandHKPR(g, seeds, base)
+		vSeq, _ := RandHKPR(g, seeds, seqOpt)
+		vCon, _ := RandHKPR(g, seeds, conOpt)
+		if vPar.Len() != vSeq.Len() || vPar.Len() != vCon.Len() {
+			t.Fatalf("seeds %v: support sizes differ: %d %d %d", seeds, vPar.Len(), vSeq.Len(), vCon.Len())
 		}
-	})
+		vPar.ForEach(func(k uint32, v float64) {
+			if vSeq.Get(k) != v || vCon.Get(k) != v {
+				t.Fatalf("seeds %v: variant mismatch at %d: %v / %v / %v", seeds, k, v, vSeq.Get(k), vCon.Get(k))
+			}
+		})
+	}
 }
 
 func TestPRNibbleBetaViaAPI(t *testing.T) {
 	g := MustGenerate("caveman", map[string]int{"cliques": 6, "k": 8})
-	vec, st := PRNibble(g, 0, PRNibbleOptions{Alpha: 0.05, Epsilon: 1e-5, Beta: 0.5})
+	vec, st := PRNibble(g, []uint32{0}, PRNibbleOptions{Alpha: 0.05, Epsilon: 1e-5, Beta: 0.5})
 	if vec.Len() == 0 || st.Iterations == 0 {
 		t.Fatal("beta variant returned nothing")
 	}
@@ -74,7 +90,7 @@ func TestPRNibbleBetaViaAPI(t *testing.T) {
 
 func TestPRNibblePriorityQueueViaAPI(t *testing.T) {
 	g := MustGenerate("caveman", map[string]int{"cliques": 6, "k": 8})
-	vec, _ := PRNibble(g, 0, PRNibbleOptions{Sequential: true, PriorityQueue: true})
+	vec, _ := PRNibble(g, []uint32{0}, PRNibbleOptions{Sequential: true, PriorityQueue: true})
 	res := SweepCut(g, vec, SweepOptions{})
 	if res.Conductance > 0.1 {
 		t.Fatalf("PQ variant cluster conductance %v", res.Conductance)
@@ -144,10 +160,10 @@ func TestSeedSetAPI(t *testing.T) {
 	// order interleaves the two sides and no good prefix exists.)
 	g := MustGenerate("barbell", map[string]int{"k": 20})
 	for name, run := range map[string]func() (*Vector, Stats){
-		"nibble":   func() (*Vector, Stats) { return NibbleFrom(g, []uint32{0, 5}, NibbleOptions{Epsilon: 1e-6}) },
-		"prnibble": func() (*Vector, Stats) { return PRNibbleFrom(g, []uint32{0, 5}, PRNibbleOptions{}) },
-		"hkpr":     func() (*Vector, Stats) { return HKPRFrom(g, []uint32{0, 5}, HKPROptions{}) },
-		"randhk":   func() (*Vector, Stats) { return RandHKPRFrom(g, []uint32{0, 5}, RandHKPROptions{Walks: 20000}) },
+		"nibble":   func() (*Vector, Stats) { return Nibble(g, []uint32{0, 5}, NibbleOptions{Epsilon: 1e-6}) },
+		"prnibble": func() (*Vector, Stats) { return PRNibble(g, []uint32{0, 5}, PRNibbleOptions{}) },
+		"hkpr":     func() (*Vector, Stats) { return HKPR(g, []uint32{0, 5}, HKPROptions{}) },
+		"randhk":   func() (*Vector, Stats) { return RandHKPR(g, []uint32{0, 5}, RandHKPROptions{Walks: 20000}) },
 	} {
 		vec, st := run()
 		if vec.Len() == 0 || st.Pushes == 0 {

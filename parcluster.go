@@ -228,24 +228,29 @@ func (o *NibbleOptions) runConfig() core.RunConfig {
 	return core.RunConfig{Procs: o.Procs, Frontier: o.Frontier, Workspace: o.Workspace, Result: o.Result, Cancel: o.Cancel}
 }
 
-// Nibble runs the Nibble diffusion (§3.2) from seed and returns the
+// The four diffusions take a seed set (footnote 5 of the paper): the
+// initial unit of mass is split evenly over the seeds, which also enlarges
+// the frontiers and with them the available parallelism. Pass
+// []uint32{seed} for a single seed. Duplicate seeds are ignored; an empty
+// or out-of-range seed set panics.
+
+// Nibble runs the Nibble diffusion (§3.2) from seeds and returns the
 // truncated random-walk vector for a sweep cut.
-func Nibble(g GraphData, seed uint32, opts NibbleOptions) (*Vector, Stats) {
+func Nibble(g GraphData, seeds []uint32, opts NibbleOptions) (*Vector, Stats) {
 	opts.defaults()
 	if opts.Sequential {
-		return core.NibbleSeq(g, seed, opts.Epsilon, opts.T)
+		return core.NibbleSeq(g, seeds, opts.Epsilon, opts.T)
 	}
-	return core.NibbleRun(g, []uint32{seed}, opts.Epsilon, opts.T, opts.runConfig())
+	return core.NibbleRun(g, seeds, opts.Epsilon, opts.T, opts.runConfig())
 }
 
 // PRNibbleOptions configures PRNibble. Zero values select the paper's
 // Table 3 parameters (alpha = 0.01, eps = 1e-7, optimized rule).
 type PRNibbleOptions struct {
-	Alpha   float64  // teleportation parameter; default 0.01
-	Epsilon float64  // push threshold; default 1e-7
-	Rule    PushRule // default OptimizedRule... note zero value is OriginalRule; see defaults
+	Alpha   float64 // teleportation parameter; default 0.01
+	Epsilon float64 // push threshold; default 1e-7
 	// UseOriginalRule selects the unoptimized push of Andersen et al.
-	// (the Rule field would default ambiguously, so the flag is explicit).
+	// instead of the paper's optimized rule (the default).
 	UseOriginalRule bool
 	// Beta in (0, 1) enables the β-fraction variant (§3.3), processing only
 	// the top β-fraction of eligible vertices per iteration. 0 or 1 = all.
@@ -279,28 +284,28 @@ func (o *PRNibbleOptions) defaults() {
 	if o.Epsilon <= 0 {
 		o.Epsilon = 1e-7
 	}
+}
+
+// rule returns the push rule UseOriginalRule selects.
+func (o *PRNibbleOptions) rule() core.PushRule {
 	if o.UseOriginalRule {
-		o.Rule = core.OriginalRule
-	} else {
-		o.Rule = core.OptimizedRule
+		return core.OriginalRule
 	}
+	return core.OptimizedRule
 }
 
 func (o *PRNibbleOptions) runConfig() core.RunConfig {
 	return core.RunConfig{Procs: o.Procs, Frontier: o.Frontier, Workspace: o.Workspace, Result: o.Result, Cancel: o.Cancel}
 }
 
-// PRNibble runs the PageRank-Nibble diffusion (§3.3) from seed and returns
-// the approximate PageRank vector for a sweep cut.
-func PRNibble(g GraphData, seed uint32, opts PRNibbleOptions) (*Vector, Stats) {
+// PRNibble runs the PageRank-Nibble diffusion (§3.3) from seeds and
+// returns the approximate PageRank vector for a sweep cut.
+func PRNibble(g GraphData, seeds []uint32, opts PRNibbleOptions) (*Vector, Stats) {
 	opts.defaults()
 	if opts.Sequential {
-		if opts.PriorityQueue {
-			return core.PRNibbleSeqPQ(g, seed, opts.Alpha, opts.Epsilon, opts.Rule)
-		}
-		return core.PRNibbleSeq(g, seed, opts.Alpha, opts.Epsilon, opts.Rule)
+		return core.PRNibbleSeq(g, seeds, opts.Alpha, opts.Epsilon, opts.rule(), opts.PriorityQueue)
 	}
-	return core.PRNibbleRun(g, []uint32{seed}, opts.Alpha, opts.Epsilon, opts.Rule, opts.Beta, opts.runConfig())
+	return core.PRNibbleRun(g, seeds, opts.Alpha, opts.Epsilon, opts.rule(), opts.Beta, opts.runConfig())
 }
 
 // HKPROptions configures HKPR. Zero values select the paper's Table 3
@@ -345,13 +350,14 @@ func (o *HKPROptions) runConfig() core.RunConfig {
 }
 
 // HKPR runs the deterministic heat kernel PageRank diffusion (§3.4) from
-// seed and returns the e^-t-scaled approximation of the heat kernel vector.
-func HKPR(g GraphData, seed uint32, opts HKPROptions) (*Vector, Stats) {
+// seeds and returns the e^-t-scaled approximation of the heat kernel
+// vector.
+func HKPR(g GraphData, seeds []uint32, opts HKPROptions) (*Vector, Stats) {
 	opts.defaults()
 	if opts.Sequential {
-		return core.HKPRSeq(g, seed, opts.T, opts.N, opts.Epsilon)
+		return core.HKPRSeq(g, seeds, opts.T, opts.N, opts.Epsilon)
 	}
-	return core.HKPRRun(g, []uint32{seed}, opts.T, opts.N, opts.Epsilon, opts.runConfig())
+	return core.HKPRRun(g, seeds, opts.T, opts.N, opts.Epsilon, opts.runConfig())
 }
 
 // RandHKPROptions configures RandHKPR. Zero values select t = 10, K = 10,
@@ -381,62 +387,19 @@ func (o *RandHKPROptions) defaults() {
 	}
 }
 
-// RandHKPR runs the randomized heat kernel PageRank (§3.5) from seed and
-// returns the empirical distribution of walk endpoints. All three
-// implementations (sequential, parallel, contended) return bit-identical
-// vectors for the same Seed.
-func RandHKPR(g GraphData, seed uint32, opts RandHKPROptions) (*Vector, Stats) {
+// RandHKPR runs the randomized heat kernel PageRank (§3.5) from seeds
+// (each walk starts at a uniformly drawn seed) and returns the empirical
+// distribution of walk endpoints. All three implementations (sequential,
+// parallel, contended) return bit-identical vectors for the same Seed.
+func RandHKPR(g GraphData, seeds []uint32, opts RandHKPROptions) (*Vector, Stats) {
 	opts.defaults()
 	if opts.Sequential {
-		return core.RandHKPRSeq(g, seed, opts.T, opts.K, opts.Walks, opts.Seed)
+		return core.RandHKPRSeq(g, seeds, opts.T, opts.K, opts.Walks, opts.Seed)
 	}
 	if opts.Contended {
-		return core.RandHKPRParContended(g, seed, opts.T, opts.K, opts.Walks, opts.Seed, opts.Procs)
+		return core.RandHKPRParContended(g, seeds, opts.T, opts.K, opts.Walks, opts.Seed, opts.Procs)
 	}
-	return core.RandHKPRPar(g, seed, opts.T, opts.K, opts.Walks, opts.Seed, opts.Procs)
-}
-
-// NibbleFrom, PRNibbleFrom, HKPRFrom and RandHKPRFrom are the seed-set
-// variants of the four diffusions (footnote 5 of the paper): the initial
-// unit of mass is split evenly over the seed set, which also enlarges the
-// frontiers and with them the available parallelism. Duplicate seeds are
-// ignored; an empty or out-of-range seed set panics.
-
-// NibbleFrom runs Nibble from a multi-vertex seed set.
-func NibbleFrom(g GraphData, seeds []uint32, opts NibbleOptions) (*Vector, Stats) {
-	opts.defaults()
-	if opts.Sequential {
-		return core.NibbleSeqFrom(g, seeds, opts.Epsilon, opts.T)
-	}
-	return core.NibbleRun(g, seeds, opts.Epsilon, opts.T, opts.runConfig())
-}
-
-// PRNibbleFrom runs PR-Nibble from a multi-vertex seed set.
-func PRNibbleFrom(g GraphData, seeds []uint32, opts PRNibbleOptions) (*Vector, Stats) {
-	opts.defaults()
-	if opts.Sequential {
-		return core.PRNibbleSeqFrom(g, seeds, opts.Alpha, opts.Epsilon, opts.Rule)
-	}
-	return core.PRNibbleRun(g, seeds, opts.Alpha, opts.Epsilon, opts.Rule, opts.Beta, opts.runConfig())
-}
-
-// HKPRFrom runs HK-PR from a multi-vertex seed set.
-func HKPRFrom(g GraphData, seeds []uint32, opts HKPROptions) (*Vector, Stats) {
-	opts.defaults()
-	if opts.Sequential {
-		return core.HKPRSeqFrom(g, seeds, opts.T, opts.N, opts.Epsilon)
-	}
-	return core.HKPRRun(g, seeds, opts.T, opts.N, opts.Epsilon, opts.runConfig())
-}
-
-// RandHKPRFrom runs rand-HK-PR from a multi-vertex seed set (each walk
-// starts at a uniformly drawn seed).
-func RandHKPRFrom(g GraphData, seeds []uint32, opts RandHKPROptions) (*Vector, Stats) {
-	opts.defaults()
-	if opts.Sequential {
-		return core.RandHKPRSeqFrom(g, seeds, opts.T, opts.K, opts.Walks, opts.Seed)
-	}
-	return core.RandHKPRParFrom(g, seeds, opts.T, opts.K, opts.Walks, opts.Seed, opts.Procs)
+	return core.RandHKPRRun(g, seeds, opts.T, opts.K, opts.Walks, opts.Seed, core.RunConfig{Procs: opts.Procs})
 }
 
 // Batched diffusions share one edge traversal between up to MaxBatchLanes
@@ -473,7 +436,7 @@ func NibbleBatch(g GraphData, units []BatchUnit, opts NibbleOptions) (vecs []*Ve
 // per-lane analogue — batches always process the full frontier, β = 1).
 func PRNibbleBatch(g GraphData, units []BatchUnit, opts PRNibbleOptions) (vecs []*Vector, stats []Stats) {
 	opts.defaults()
-	return core.PRNibbleBatch(g, units, opts.Alpha, opts.Epsilon, opts.Rule, core.BatchConfig{
+	return core.PRNibbleBatch(g, units, opts.Alpha, opts.Epsilon, opts.rule(), core.BatchConfig{
 		Procs: opts.Procs, Frontier: opts.Frontier, Workspace: opts.Workspace, Cancel: opts.Cancel,
 	})
 }
@@ -574,17 +537,18 @@ func FindCluster(g GraphData, seed uint32, opts ClusterOptions) (Cluster, error)
 			opts.EvolvingSet.Workspace = opts.Workspace
 		}
 	}
+	seeds := []uint32{seed}
 	var vec *Vector
 	var st Stats
 	switch opts.Method {
 	case "", "prnibble":
-		vec, st = PRNibble(g, seed, opts.PRNibble)
+		vec, st = PRNibble(g, seeds, opts.PRNibble)
 	case "nibble":
-		vec, st = Nibble(g, seed, opts.Nibble)
+		vec, st = Nibble(g, seeds, opts.Nibble)
 	case "hkpr":
-		vec, st = HKPR(g, seed, opts.HKPR)
+		vec, st = HKPR(g, seeds, opts.HKPR)
 	case "randhk":
-		vec, st = RandHKPR(g, seed, opts.RandHKPR)
+		vec, st = RandHKPR(g, seeds, opts.RandHKPR)
 	case "evolving":
 		// The evolving set process produces a cluster directly (no sweep).
 		res, st := EvolvingSet(g, seed, opts.EvolvingSet, false)

@@ -76,7 +76,7 @@ func TestSequentialAndParallelVariantsAgree(t *testing.T) {
 
 func TestSweepVariantsIdentical(t *testing.T) {
 	g := MustGenerate("community", map[string]int{"n": 5000, "seed": 4})
-	vec, _ := PRNibble(g, 17, PRNibbleOptions{})
+	vec, _ := PRNibble(g, []uint32{17}, PRNibbleOptions{})
 	a := SweepCut(g, vec, SweepOptions{Sequential: true})
 	b := SweepCut(g, vec, SweepOptions{})
 	c := SweepCut(g, vec, SweepOptions{SortBased: true})
